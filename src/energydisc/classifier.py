@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import LabeledDataset
+from .datasets import _FLOAT_FMT, LabeledDataset, _first_zero_norm
 from .errors import (
     DegenerateTrace,
     DimensionMismatch,
@@ -41,9 +41,6 @@ from .errors import (
 )
 from .moments import MomentSummary
 from .spectral import Projector, complement, projector_from_basis, sym_eig, sym_matrix
-
-_ZERO_NORM = 1e-12
-_FLOAT_FMT = "%.17g"
 
 
 class NormalizationMode(enum.Enum):
@@ -88,10 +85,11 @@ class EnergyClassifier:
     spectrum: np.ndarray
 
     def __post_init__(self):
+        # written as not (err <= tol) so that NaN entries fail the checks
         resid = self.proj1.matrix + self.proj2.matrix - np.eye(self.dim)
-        if np.max(np.abs(resid)) > 1e-9:
+        if not np.max(np.abs(resid)) <= 1e-9:
             raise InvalidParameter("projectors do not sum to the identity")
-        if np.max(np.abs(self.proj1.matrix @ self.proj2.matrix)) > 1e-9:
+        if not np.max(np.abs(self.proj1.matrix @ self.proj2.matrix)) <= 1e-9:
             raise InvalidParameter("projectors are not mutually orthogonal")
 
 
@@ -167,9 +165,9 @@ def discriminants(clf: EnergyClassifier, x: np.ndarray) -> tuple[np.ndarray, np.
     mode = clf.mode
     if mode is NormalizationMode.UNIT:
         norms = np.linalg.norm(x, axis=1)
-        bad = np.nonzero(norms <= _ZERO_NORM)[0]
-        if bad.size:
-            raise ZeroSignal(f"cannot unit-normalize zero vector at row {bad[0] + 1}")
+        bad = _first_zero_norm(norms)
+        if bad is not None:
+            raise ZeroSignal(f"cannot unit-normalize zero vector at row {bad + 1}")
         x = x / norms[:, None]
     if mode is NormalizationMode.CENTERED:
         c1 = x - clf.mean1
@@ -360,13 +358,19 @@ def parse_model(text: str) -> EnergyClassifier:
         raise ParseError("model field lengths do not match n")
     if p1_entries.shape != (n * n,):
         raise ParseError("P1 must hold n*n row-major entries")
+    numbers = (prior1, prior2, tr_k1, tr_k2, mean1, mean2, spectrum, p1_entries)
+    if not all(np.all(np.isfinite(v)) for v in numbers):
+        raise ParseError("model fields must be finite numbers")
+    if not (0.0 < prior1 < 1.0 and 0.0 < prior2 < 1.0
+            and abs(prior1 + prior2 - 1.0) <= 1e-12):
+        raise ParseError(f"priors {prior1}, {prior2} must lie in (0,1) and sum to 1")
     p1_matrix = p1_entries.reshape(n, n)
     proj1 = Projector(p1_matrix, int(round(float(np.trace(p1_matrix)))))
     return EnergyClassifier(
         dim=n,
         mode=mode,
         proj1=proj1,
-        proj2=Projector(np.eye(n) - p1_matrix, n - proj1.rank),
+        proj2=complement(proj1),
         prior1=prior1,
         prior2=prior2,
         tr_k1=tr_k1,

@@ -15,11 +15,10 @@ import numpy as np
 
 from . import classifier as clf_mod
 from . import datasets as ds_mod
+from .datasets import _FLOAT_FMT, _first_zero_norm
 from .errors import EmptyClass, EnergydiscError
 from .moments import estimate_moments
 from .spectral import sym_matrix
-
-_FLOAT_FMT = "%.17g"
 
 
 class _UsageError(Exception):
@@ -143,11 +142,10 @@ def _check_unit_rows(model, data: ds_mod.LabeledDataset) -> None:
     """Name the CSV line of any zero row a unit-norm model cannot score."""
     if model.mode is not clf_mod.NormalizationMode.UNIT:
         return
-    norms = np.linalg.norm(data.features, axis=1)
-    bad = np.nonzero(norms <= 1e-12)[0]
-    if bad.size:
+    bad = _first_zero_norm(np.linalg.norm(data.features, axis=1))
+    if bad is not None:
         raise EnergydiscError(
-            f"zero vector at line {bad[0] + 2} of the data file "
+            f"zero vector at line {bad + 2} of the data file "
             "cannot be scored by a unit-norm model"
         )
 

@@ -22,14 +22,24 @@ from .errors import (
     DimensionMismatch,
     InvalidParameter,
     LabelError,
-    NotPSD,
     ParseError,
     ZeroSignal,
 )
+from .moments import _check_psd
 from .spectral import sym_eig, sym_matrix
 
+# Every float the package writes (CSV, model files, CLI output) uses
+# 17 significant digits, so values survive a text round trip exactly.
 _FLOAT_FMT = "%.17g"
+
+# A row whose Euclidean norm is at most this cannot be unit-normalized.
 _ZERO_NORM = 1e-12
+
+
+def _first_zero_norm(norms: np.ndarray) -> int | None:
+    """Index of the first row norm at most 1e-12, or None if there is none."""
+    bad = np.nonzero(norms <= _ZERO_NORM)[0]
+    return int(bad[0]) if bad.size else None
 
 
 @dataclass(frozen=True)
@@ -71,8 +81,7 @@ def make_rng(seed: int) -> np.random.Generator:
 def _psd_factor(covariance: np.ndarray) -> np.ndarray:
     """Matrix L with L L^T equal to the (validated PSD) covariance."""
     values, vectors = sym_eig(covariance)
-    if values[-1] < -1e-9 * max(1.0, float(np.trace(covariance))):
-        raise NotPSD(f"covariance has eigenvalue {values[-1]}")
+    _check_psd(covariance, values[-1])
     return vectors * np.sqrt(np.clip(values, 0.0, None))
 
 
@@ -126,9 +135,9 @@ def gen_example2(
 def unit_normalized(data: LabeledDataset) -> LabeledDataset:
     """Rescale every row to the unit sphere; zero rows are an error."""
     norms = np.linalg.norm(data.features, axis=1)
-    bad = np.nonzero(norms <= _ZERO_NORM)[0]
-    if bad.size:
-        raise ZeroSignal(f"cannot unit-normalize zero vector at row {bad[0] + 1}")
+    bad = _first_zero_norm(norms)
+    if bad is not None:
+        raise ZeroSignal(f"cannot unit-normalize zero vector at row {bad + 1}")
     return LabeledDataset(data.labels, data.features / norms[:, None])
 
 

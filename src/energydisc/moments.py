@@ -21,6 +21,13 @@ from .spectral import sym_eig, sym_matrix
 _PSD_RTOL = 1e-9
 
 
+def _check_psd(covariance: np.ndarray, smallest: float) -> None:
+    """Raise NotPSD if `smallest`, the least eigenvalue of `covariance`, is
+    below -1e-9 * max(1, tr covariance)."""
+    if smallest < -_PSD_RTOL * max(1.0, float(np.trace(covariance))):
+        raise NotPSD(f"covariance has eigenvalue {smallest}")
+
+
 @dataclass(frozen=True)
 class MomentSummary:
     """Mean, correlation and covariance of one class.
@@ -70,9 +77,7 @@ def analytic_moments(mean: Iterable, covariance: Iterable) -> MomentSummary:
     r = sym_matrix(covariance)
     if m.ndim != 1 or r.shape[0] != m.shape[0]:
         raise DimensionMismatch("mean and covariance dimensions differ")
-    smallest = sym_eig(r).eigenvalues[-1]
-    if smallest < -_PSD_RTOL * max(1.0, np.trace(r)):
-        raise NotPSD(f"covariance has eigenvalue {smallest}")
+    _check_psd(r, sym_eig(r).eigenvalues[-1])
     k = sym_matrix(r + np.outer(m, m))
     return MomentSummary(m, k, r, 0)
 

@@ -1,10 +1,10 @@
 """Dense symmetric eigendecomposition and orthogonal projectors.
 
-The eigensolver is a cyclic Jacobi iteration: adequate for the dense,
-small-to-moderate operators used everywhere else in the package, and
-dependency-free. Projectors are symmetric idempotent matrices with a
-cached integer rank; they double as propositions of the projection
-lattice (see :mod:`energydisc.logic`).
+The eigensolver is LAPACK's symmetric solver (numpy.linalg.eigh) with
+a fixed order and sign convention, and every projector is built from a
+spanning set by one rank-revealing SVD. Projectors are symmetric
+idempotent matrices with a cached integer rank; they double as
+propositions of the projection lattice (see :mod:`energydisc.logic`).
 """
 
 from __future__ import annotations
@@ -15,11 +15,6 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidMatrix
-
-# Convergence target for the Jacobi sweep, relative to the Frobenius
-# norm of the input: off-diagonal mass below this is "diagonal".
-_JACOBI_RTOL = 1e-14
-_MAX_SWEEPS = 100
 
 # Idempotency / trace-rank slack accepted by the Projector constructor.
 _PROJ_ATOL = 1e-9
@@ -55,61 +50,25 @@ class EigenDecomposition(NamedTuple):
 
 
 def sym_eig(matrix: Iterable) -> EigenDecomposition:
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi.
+    """Eigendecomposition of a real symmetric matrix by LAPACK's eigh.
 
-    Rotations sweep the strict upper triangle until the off-diagonal
-    Frobenius norm falls below 1e-14 * (1 + ||M||_F). Eigenvalues are
-    returned in descending order; each eigenvector is normalized so its
-    first component of absolute value > 1e-12 is positive.
+    Eigenvalues are returned in descending order; each eigenvector is
+    normalized so its first component of absolute value > 1e-12 is
+    positive.
+
+    Raises:
+        InvalidMatrix: the input is rejected by `sym_matrix`, or LAPACK
+            fails to converge.
     """
-    a = sym_matrix(matrix)
-    n = a.shape[0]
-    v = np.eye(n)
-    tol = _JACOBI_RTOL * (1.0 + np.linalg.norm(a, "fro"))
-    # A pivot below this cannot keep the off-diagonal mass above tol.
-    pivot_tol = tol / max(1, n * n)
-
-    for _ in range(_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.square(a - np.diag(np.diag(a)))))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= pivot_tol:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                col_p = v[:, p].copy()
-                col_q = v[:, q].copy()
-                v[:, p] = c * col_p - s * col_q
-                v[:, q] = s * col_p + c * col_q
-    else:
-        raise InvalidMatrix("Jacobi iteration failed to converge")
-
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = v[:, order]
-    for j in range(n):
-        lead = np.nonzero(np.abs(vectors[:, j]) > _SIGN_EPS)[0]
-        if lead.size and vectors[lead[0], j] < 0.0:
-            vectors[:, j] = -vectors[:, j]
-    return EigenDecomposition(eigenvalues, vectors)
+    try:
+        values, vectors = np.linalg.eigh(sym_matrix(matrix))
+    except np.linalg.LinAlgError as exc:
+        raise InvalidMatrix(f"eigendecomposition failed: {exc}") from exc
+    values, vectors = values[::-1], vectors[:, ::-1]
+    big = np.abs(vectors) > _SIGN_EPS
+    lead = big & (np.cumsum(big, axis=0) == 1)  # first such entry of each column
+    flip = np.any(lead & (vectors < 0.0), axis=0)
+    return EigenDecomposition(values, np.where(flip, -vectors, vectors))
 
 
 @dataclass(frozen=True)
@@ -121,9 +80,10 @@ class Projector:
 
     def __post_init__(self):
         m = self.matrix
-        if np.max(np.abs(m @ m - m), initial=0.0) > _PROJ_ATOL:
+        # written as not (err <= tol) so that NaN entries fail the checks
+        if not np.max(np.abs(m @ m - m), initial=0.0) <= _PROJ_ATOL:
             raise InvalidMatrix("projector matrix is not idempotent")
-        if abs(np.trace(m) - self.rank) > _RANK_ATOL:
+        if not abs(np.trace(m) - self.rank) <= _RANK_ATOL:
             raise InvalidMatrix("projector trace does not match rank")
 
     @property
@@ -137,11 +97,11 @@ class Projector:
 def projector_from_basis(vectors: Sequence, dim: int | None = None) -> Projector:
     """Projector onto the span of the given vectors.
 
-    The input is orthonormalized by Gram-Schmidt; vectors that are
-    linearly dependent on earlier ones (residual below 1e-10 times the
-    largest input norm) are dropped, so the rank is the dimension of the
-    span. An empty sequence gives the zero projector, in which case
-    `dim` is required.
+    The span is found by a rank-revealing SVD of the vectors taken as
+    columns: left singular vectors whose singular value is at most 1e-10
+    times the largest input norm are dropped, so the rank is the
+    dimension of the span. An empty sequence gives the zero projector,
+    in which case `dim` is required.
     """
     vecs = [np.asarray(u, dtype=float) for u in vectors]
     if vecs:
@@ -151,25 +111,15 @@ def projector_from_basis(vectors: Sequence, dim: int | None = None) -> Projector
     elif dim is None:
         raise DimensionMismatch("empty basis needs an explicit dim")
     else:
-        n = dim
-    basis: list[np.ndarray] = []
-    drop_tol = 1e-10 * max((np.linalg.norm(u) for u in vecs), default=0.0)
-    for u in vecs:
-        if u.ndim != 1 or u.shape[0] != n:
-            raise DimensionMismatch("basis vectors must share one dimension")
-        w = u.copy()
-        for b in basis:
-            w -= (b @ w) * b
-        # second pass fights cancellation on nearly dependent inputs
-        for b in basis:
-            w -= (b @ w) * b
-        norm = np.linalg.norm(w)
-        if norm > drop_tol:
-            basis.append(w / norm)
-    p = np.zeros((n, n))
-    for b in basis:
-        p += np.outer(b, b)
-    return Projector(sym_matrix(p), len(basis))
+        return zero_projector(dim)
+    if any(u.ndim != 1 or u.shape[0] != n for u in vecs):
+        raise DimensionMismatch("basis vectors must share one dimension")
+    columns = np.column_stack(vecs)
+    if not np.all(np.isfinite(columns)):
+        raise InvalidMatrix("basis vectors must be finite")
+    u, s, _ = np.linalg.svd(columns, full_matrices=False)
+    basis = u[:, s > 1e-10 * np.max(np.linalg.norm(columns, axis=0))]
+    return Projector(sym_matrix(basis @ basis.T), basis.shape[1])
 
 
 def zero_projector(dim: int) -> Projector:

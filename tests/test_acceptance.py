@@ -36,6 +36,7 @@ from energydisc import (
 )
 from energydisc.datasets import LabeledDataset
 from helpers import (
+    jacobi_eig,
     max_abs,
     random_projector,
     random_psd,
@@ -168,10 +169,9 @@ def test_fitted_pair_is_optimal():
             return (p1 * np.trace(p @ k1)
                     + (1.0 - p1) * np.trace((np.eye(n) - p) @ k2))
 
-        # brute force over every subset of an independent eigenbasis of
-        # the prior-weighted difference operator
-        diff = p1 * k1 - (1.0 - p1) * k2
-        _, basis = np.linalg.eigh((diff + diff.T) / 2.0)
+        # brute force over every subset of an independent (Jacobi)
+        # eigenbasis of the prior-weighted difference operator
+        _, basis = jacobi_eig(p1 * k1 - (1.0 - p1) * k2)
         best = -np.inf
         for r in range(n + 1):
             for cols in itertools.combinations(range(n), r):

@@ -101,6 +101,18 @@ def test_classifier_rejects_non_complementary_projectors():
         )
 
 
+def test_classifier_rejects_nan_projector_entries():
+    p = zero_projector(2)
+    q = complement(p)
+    q.matrix[0, 0] = np.nan  # the array inside a validated Projector is mutable
+    with pytest.raises(InvalidParameter):
+        EnergyClassifier(
+            dim=2, mode=NormalizationMode.RAW, proj1=p, proj2=q,
+            prior1=0.5, prior2=0.5, tr_k1=1.0, tr_k2=1.0,
+            mean1=np.zeros(2), mean2=np.zeros(2), spectrum=np.zeros(2),
+        )
+
+
 # -- decision rule ---------------------------------------------------------
 
 
@@ -344,6 +356,26 @@ def test_parse_model_rejects_garbage():
         parse_model("\n".join(text.splitlines()[1:]))  # header dropped
     with pytest.raises(ParseError):
         parse_model(text.replace("p1=", "p1=abc;"))
+
+
+def _replace_field(text, key, value):
+    return "".join(f"{key}={value}\n" if ln.startswith(f"{key}=") else ln + "\n"
+                   for ln in text.splitlines())
+
+
+@pytest.mark.parametrize("key, value", [("P1", "nan,0,0,0"), ("m1", "inf,0"),
+                                        ("trK2", "nan"), ("spectrum", "2,-inf")])
+def test_parse_model_rejects_nonfinite_fields(key, value):
+    text = format_model(fit(*gaussian_pair()))
+    with pytest.raises(ParseError):
+        parse_model(_replace_field(text, key, value))
+
+
+@pytest.mark.parametrize("p1, p2", [("7", "-6"), ("0", "1"), ("0.3", "0.3")])
+def test_parse_model_rejects_bad_priors(p1, p2):
+    text = format_model(fit(*gaussian_pair()))
+    with pytest.raises(ParseError):
+        parse_model(_replace_field(_replace_field(text, "p1", p1), "p2", p2))
 
 
 def test_parse_model_checks_entry_counts():

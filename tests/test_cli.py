@@ -191,6 +191,21 @@ def test_missing_files_exit_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_predict_on_nan_model_exits_2(capsys, tmp_path):
+    data = gen_data(capsys, tmp_path)
+    model_path = fit_model(capsys, tmp_path, data)
+    lines = model_path.read_text(encoding="utf-8").splitlines()
+    lines = ["P1=nan," + ln.split(",", 1)[1] if ln.startswith("P1=") else ln
+             for ln in lines]
+    model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "predict", "--model", str(model_path),
+                             "--data", str(data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0

@@ -12,7 +12,7 @@ from energydisc import (
     sym_matrix,
     zero_projector,
 )
-from helpers import max_abs, random_projector, random_symmetric
+from helpers import jacobi_eig, max_abs, random_projector, random_psd, random_symmetric
 
 RT2 = np.sqrt(2.0)
 
@@ -76,15 +76,35 @@ def test_eig_sign_convention_deterministic():
         assert first.eigenvectors[lead, j] > 0.0
 
 
-def test_eig_random_matrices_match_numpy():
+def test_eig_random_matrices_match_jacobi():
     rng = np.random.default_rng(123)
     for _ in range(1000):
         n = int(rng.integers(1, 9))
         m = random_symmetric(rng, n)
         decomp = sym_eig(m)
         assert_valid_decomposition(m, decomp)
-        reference = np.sort(np.linalg.eigvalsh(m))[::-1]
+        reference = jacobi_eig(m).eigenvalues
         np.testing.assert_allclose(decomp.eigenvalues, reference, atol=1e-10)
+
+
+@pytest.mark.parametrize("n, count", [(16, 4), (64, 2)])
+def test_eig_and_positive_projector_match_jacobi_at_larger_n(n, count):
+    # the classifier's operator: a prior-weighted difference of two PSD
+    # operators, whose positive eigenspace is P_1
+    rng = np.random.default_rng(n)
+    for _ in range(count):
+        p1 = float(rng.uniform(0.1, 0.9))
+        m = p1 * random_psd(rng, n) - (1.0 - p1) * random_psd(rng, n)
+        decomp = sym_eig(m)
+        assert_valid_decomposition(m, decomp)
+        ref_values, ref_vectors = jacobi_eig(m)
+        np.testing.assert_allclose(decomp.eigenvalues, ref_values, atol=1e-10)
+        positive = decomp.eigenvalues > 0.0
+        assert np.array_equal(positive, ref_values > 0.0)
+        proj = projector_from_basis(list(decomp.eigenvectors[:, positive].T), dim=n)
+        ref = ref_vectors[:, positive] @ ref_vectors[:, positive].T
+        assert proj.rank == int(np.count_nonzero(positive))
+        assert max_abs(proj.matrix - ref) <= 1e-10
 
 
 def test_projector_from_axis_vector():
@@ -142,6 +162,25 @@ def test_projector_random_bases_satisfy_invariants():
 def test_projector_constructor_rejects_non_idempotent():
     with pytest.raises(InvalidMatrix):
         Projector(np.array([[0.5, 0.0], [0.0, 0.5]]), 1)
+
+
+def test_projector_constructor_rejects_nan():
+    with pytest.raises(InvalidMatrix):
+        Projector(np.full((2, 2), np.nan), 1)
+
+
+def test_projector_from_basis_rejects_nonfinite():
+    with pytest.raises(InvalidMatrix):
+        projector_from_basis([np.array([np.nan, 1.0])])
+
+
+def test_eig_solver_failure_is_invalid_matrix(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(InvalidMatrix):
+        sym_eig(np.eye(2))
 
 
 def test_complement_examples():
