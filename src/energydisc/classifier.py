@@ -157,6 +157,16 @@ def fit(
     )
 
 
+def _quadratic_forms(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """<P x, x> for every row x, as row sums of (x P) * x (P is symmetric)."""
+    return np.einsum("ij,ij->i", x @ p, x)
+
+
+def _labels(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """The decision rule: label 1 iff g_1 > g_2 strictly, else 2 (ties go to 2)."""
+    return np.where(g1 > g2, 1, 2)
+
+
 def discriminants(clf: EnergyClassifier, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Discriminant pair (g_1, g_2) for a batch of row vectors."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -170,13 +180,11 @@ def discriminants(clf: EnergyClassifier, x: np.ndarray) -> tuple[np.ndarray, np.
             raise ZeroSignal(f"cannot unit-normalize zero vector at row {bad + 1}")
         x = x / norms[:, None]
     if mode is NormalizationMode.CENTERED:
-        c1 = x - clf.mean1
-        c2 = x - clf.mean2
-        g1 = np.einsum("ij,jk,ik->i", c1, clf.proj1.matrix, c1)
-        g2 = np.einsum("ij,jk,ik->i", c2, clf.proj2.matrix, c2)
+        g1 = _quadratic_forms(x - clf.mean1, clf.proj1.matrix)
+        g2 = _quadratic_forms(x - clf.mean2, clf.proj2.matrix)
     else:
-        g1 = np.einsum("ij,jk,ik->i", x, clf.proj1.matrix, x)
-        g2 = np.einsum("ij,jk,ik->i", x, clf.proj2.matrix, x)
+        g1 = _quadratic_forms(x, clf.proj1.matrix)
+        g2 = _quadratic_forms(x, clf.proj2.matrix)
         if mode is NormalizationMode.TRACE:
             if clf.tr_k1 <= 0.0 or clf.tr_k2 <= 0.0:
                 raise DegenerateTrace("trace mode needs positive correlation traces")
@@ -188,13 +196,12 @@ def discriminants(clf: EnergyClassifier, x: np.ndarray) -> tuple[np.ndarray, np.
 def decide(clf: EnergyClassifier, x) -> int:
     """Class label for one vector: 1 iff g_1(x) > g_2(x) strictly, else 2."""
     g1, g2 = discriminants(clf, np.asarray(x, dtype=float).reshape(1, -1))
-    return 1 if g1[0] > g2[0] else 2
+    return int(_labels(g1, g2)[0])
 
 
 def decide_batch(clf: EnergyClassifier, x) -> np.ndarray:
     """Vectorized decision rule; ties go to class 2."""
-    g1, g2 = discriminants(clf, x)
-    return np.where(g1 > g2, 1, 2)
+    return _labels(*discriminants(clf, x))
 
 
 def energy_report(clf: EnergyClassifier, class1: ClassSpec, class2: ClassSpec) -> EnergyReport:
@@ -272,9 +279,8 @@ def region_energy(
     value = 0.0
     variance = 0.0
     for label, prior in ((1, clf.prior1), (2, clf.prior2)):
-        rows = _class_rows(data, label)
-        g = discriminants(clf, rows)[label - 1]
-        kept = g * (decide_batch(clf, rows) == label)
+        g1, g2 = discriminants(clf, _class_rows(data, label))
+        kept = (g1, g2)[label - 1] * (_labels(g1, g2) == label)
         value += prior * float(kept.mean())
         if kept.size > 1:
             variance += prior**2 * float(kept.var(ddof=1)) / kept.size

@@ -34,6 +34,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
+def _count_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _vector_arg(text: str) -> np.ndarray:
     try:
         return np.array([float(v) for v in text.split(",")])
@@ -61,16 +71,16 @@ def _build_parser() -> _Parser:
                     help="isotropic covariance sigma2*I (default 1.0)")
     g1.add_argument("--cov", type=_matrix_arg, default=None,
                     help="full covariance, rows separated by ';' (overrides --sigma2)")
-    g1.add_argument("--per-class", type=int, required=True)
-    g1.add_argument("--seed", type=int, required=True)
+    g1.add_argument("--per-class", type=_count_arg, required=True)
+    g1.add_argument("--seed", type=_count_arg, required=True)
     g1.add_argument("--out", required=True)
 
     g2 = sub.add_parser("gen-example2", help="signal in white noise vs white noise")
     g2.add_argument("--n", type=int, required=True)
     g2.add_argument("--a", type=_vector_arg, required=True)
     g2.add_argument("--sigma2", type=float, required=True)
-    g2.add_argument("--per-class", type=int, required=True)
-    g2.add_argument("--seed", type=int, required=True)
+    g2.add_argument("--per-class", type=_count_arg, required=True)
+    g2.add_argument("--seed", type=_count_arg, required=True)
     g2.add_argument("--out", required=True)
 
     fit_p = sub.add_parser("fit", help="fit a projector-pair model from CSV data")

@@ -7,8 +7,11 @@ clouds with orthogonal means and a shared covariance, and a fixed
 signal in white noise versus the noise alone.
 
 CSV layout: UTF-8, '\\n' newlines, mandatory header ``label,x1,...,xn``,
-one sample per row, labels in {1,2}, floats written with 17 significant
-digits so values survive a round trip exactly.
+one sample per row, labels in {1,2}, finite floats written with 17
+significant digits so values survive a round trip exactly. Loading
+converts a well-formed file in one numpy.loadtxt call; any other file
+goes through a line-by-line parser that takes every spelling int() and
+float() take and names the first bad line.
 """
 
 from __future__ import annotations
@@ -144,23 +147,15 @@ def unit_normalized(data: LabeledDataset) -> LabeledDataset:
 def save_csv(data: LabeledDataset, path) -> None:
     n = data.dim
     header = "label," + ",".join(f"x{i + 1}" for i in range(n))
+    row_fmt = "%d," + ",".join([_FLOAT_FMT] * n) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for label, row in zip(data.labels, data.features):
-            fh.write(str(int(label)) + "," + ",".join(_FLOAT_FMT % v for v in row) + "\n")
+        for label, row in zip(data.labels.tolist(), data.features.tolist()):
+            fh.write(row_fmt % (label, *row))
 
 
-def load_csv(path) -> LabeledDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("missing header", 1)
-    fields = lines[0].split(",")
-    if fields[0] != "label" or len(fields) < 2:
-        raise ParseError(f"bad header {lines[0]!r}", 1)
-    n = len(fields) - 1
-    if fields[1:] != [f"x{i + 1}" for i in range(n)]:
-        raise ParseError(f"bad header {lines[0]!r}", 1)
+def _parse_rows(lines: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the data lines one by one, raising at the first bad line."""
     labels: list[int] = []
     rows: list[list[float]] = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -181,4 +176,39 @@ def load_csv(path) -> LabeledDataset:
             raise ParseError(f"bad number in row: {exc}", lineno) from exc
         labels.append(label)
     features = np.array(rows, dtype=float) if rows else np.zeros((0, n))
-    return LabeledDataset(np.array(labels, dtype=int), features)
+    return np.array(labels, dtype=int), features
+
+
+def _parse_table(rows: list[str], n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Parse non-empty data lines in one loadtxt call, or None if any line
+    needs the line-by-line parser (to be rejected or for a spelling such as
+    `1_0` that float() takes and loadtxt does not)."""
+    # loadtxt strips the unit separator \x1f as whitespace, float() does not
+    if not rows or not all(row.count(",") == n and row[:2] in ("1,", "2,")
+                           and "\x1f" not in row for row in rows):
+        return None
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return table[:, 0].astype(int), np.ascontiguousarray(table[:, 1:])
+
+
+def load_csv(path) -> LabeledDataset:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError("missing header", 1)
+    fields = lines[0].split(",")
+    if fields[0] != "label" or len(fields) < 2:
+        raise ParseError(f"bad header {lines[0]!r}", 1)
+    n = len(fields) - 1
+    if fields[1:] != [f"x{i + 1}" for i in range(n)]:
+        raise ParseError(f"bad header {lines[0]!r}", 1)
+    parsed = _parse_table([line for line in lines[1:] if line], n)
+    labels, features = parsed if parsed is not None else _parse_rows(lines, n)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        linenos = [i for i, line in enumerate(lines[1:], start=2) if line]
+        raise ParseError("values must be finite numbers", linenos[int(np.argmin(finite))])
+    return LabeledDataset(labels, features)

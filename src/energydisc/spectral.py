@@ -80,9 +80,10 @@ class Projector:
 
     def __post_init__(self):
         m = self.matrix
-        # written as not (err <= tol) so that NaN entries fail the checks
-        if not np.max(np.abs(m @ m - m), initial=0.0) <= _PROJ_ATOL:
-            raise InvalidMatrix("projector matrix is not idempotent")
+        # P P^T = P holds exactly for symmetric idempotent P, so one product
+        # checks both; written as not (err <= tol) so that NaN entries fail
+        if not np.max(np.abs(m @ m.T - m), initial=0.0) <= _PROJ_ATOL:
+            raise InvalidMatrix("projector matrix is not an orthogonal projection")
         if not abs(np.trace(m) - self.rank) <= _RANK_ATOL:
             raise InvalidMatrix("projector trace does not match rank")
 

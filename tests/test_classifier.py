@@ -27,6 +27,7 @@ from energydisc import (
     region_energy,
     save_model,
     snr,
+    unit_normalized,
     zero_projector,
 )
 from helpers import max_abs, random_projector, random_psd
@@ -142,6 +143,36 @@ def test_discriminants_are_quadratic_forms():
     for i, row in enumerate(x):
         assert g1[i] == pytest.approx(row @ clf.proj1.matrix @ row)
         assert g2[i] == pytest.approx(row @ clf.proj2.matrix @ row)
+
+
+@pytest.mark.parametrize("mode", list(NormalizationMode))
+def test_discriminants_match_explicit_quadratic_forms(mode):
+    n = 64
+    a = np.linspace(-1.0, 1.0, n)
+    data = gen_example2(n, a, 1.0, per_class=150, seed=31)
+    fit_data = unit_normalized(data) if mode is NormalizationMode.UNIT else data
+    clf = fit(ClassSpec(0.4, estimate_moments(fit_data.class_features(1))),
+              ClassSpec(0.6, estimate_moments(fit_data.class_features(2))), mode)
+    assert 0 < clf.proj1.rank < n
+    x = data.features
+    g1, g2 = discriminants(clf, x)
+    expected1, expected2 = [], []
+    for row in x:
+        if mode is NormalizationMode.UNIT:
+            row = row / np.linalg.norm(row)
+        c1 = row - clf.mean1 if mode is NormalizationMode.CENTERED else row
+        c2 = row - clf.mean2 if mode is NormalizationMode.CENTERED else row
+        e1 = c1 @ clf.proj1.matrix @ c1
+        e2 = c2 @ clf.proj2.matrix @ c2
+        if mode is NormalizationMode.TRACE:
+            e1, e2 = e1 / clf.tr_k1, e2 / clf.tr_k2
+        expected1.append(e1)
+        expected2.append(e2)
+    np.testing.assert_allclose(g1, expected1, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(g2, expected2, rtol=1e-12, atol=0.0)
+    explicit = np.where(np.array(expected1) > np.array(expected2), 1, 2)
+    np.testing.assert_array_equal(decide_batch(clf, x), explicit)
+    assert set(explicit) == {1, 2}
 
 
 def test_discriminants_dimension_check():

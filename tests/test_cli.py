@@ -182,6 +182,18 @@ def test_usage_errors_exit_1(capsys, tmp_path):
                            "--out", str(tmp_path / "x.csv"))
     assert code == 1
 
+    gen_args = {
+        "gen-example1": ["--n", "2", "--m1", "1,0", "--m2", "0,1"],
+        "gen-example2": ["--n", "2", "--a", "1,0", "--sigma2", "1"],
+    }
+    for command, args in gen_args.items():
+        for per_class, seed in (("-1", "0"), ("1", "-3"), ("1.5", "0"), ("1", "x")):
+            code, _, err = run_cli(capsys, command, *args, "--per-class", per_class,
+                                   "--seed", seed, "--out", str(tmp_path / "x.csv"))
+            assert code == 1, (command, per_class, seed)
+            assert "usage" in err and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
 
 def test_missing_files_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "predict", "--model",
@@ -203,6 +215,20 @@ def test_predict_on_nan_model_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_predict_on_nonfinite_data_exits_2(capsys, tmp_path, value):
+    data = gen_data(capsys, tmp_path)
+    model_path = fit_model(capsys, tmp_path, data)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"label,x1,x2,x3\n1,1,0,0\n\n2,0,{value},1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "predict", "--model", str(model_path),
+                             "--data", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "line 4" in err
     assert "Traceback" not in err
 
 

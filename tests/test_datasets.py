@@ -113,10 +113,15 @@ def test_csv_round_trip_exact(tmp_path):
 
 
 def test_csv_header_layout(tmp_path):
-    data = LabeledDataset(np.array([2]), np.array([[1.0, 2.0, 3.0]]))
+    data = LabeledDataset(np.array([2, 1]),
+                          np.array([[1.0, 2.0, 3.0], [0.1, -3e-20, 1e300]]))
     path = tmp_path / "one.csv"
     save_csv(data, path)
-    assert path.read_text().splitlines()[0] == "label,x1,x2,x3"
+    assert path.read_bytes() == (
+        b"label,x1,x2,x3\n"
+        b"2,1,2,3\n"
+        b"1,0.10000000000000001,-3.0000000000000003e-20,1.0000000000000001e+300\n"
+    )
 
 
 def test_csv_empty_dataset_round_trip(tmp_path):
@@ -164,3 +169,51 @@ def test_csv_tolerates_blank_lines(tmp_path):
     path.write_text("label,x1\n1,2.0\n\n2,3.0\n")
     back = load_csv(path)
     np.testing.assert_array_equal(back.labels, [1, 2])
+
+
+
+def _load_outcome(tmp_path, text):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        data = load_csv(path)
+    except ParseError as exc:
+        return type(exc), exc.line
+    return data.labels.tolist(), data.features.tolist()
+
+
+@pytest.mark.parametrize("text, expected", [
+    # blank lines are skipped, and line numbers still count them
+    pytest.param("label,x1\n\n1,2.0\n\n\n2,3.0\n", ([1, 2], [[2.0], [3.0]]), id="blank"),
+    pytest.param("label,x1\n\n1,2.0\n\n2,x\n", (ParseError, 5), id="blank-then-bad"),
+    pytest.param("label,x1\n1,2.0\n   \n", (ParseError, 3), id="whitespace-line"),
+    # '#' starts no comment
+    pytest.param("label,x1,x2\n1,2.0,3#4\n", (ParseError, 2), id="hash-in-field"),
+    pytest.param("label,x1\n1,2.0\n#2,3.0\n", (ParseError, 3), id="hash-first"),
+    pytest.param("label,x1\n1,2.0\n2,#3\n", (ParseError, 3), id="hash-value"),
+    # labels are the integers 1 and 2
+    pytest.param("label,x1\n1,2.0\n1.0,3.0\n", (ParseError, 3), id="label-1.0"),
+    pytest.param("label,x1\n1,2.0\n2,1\n7,3.0\n", (LabelError, 4), id="label-7"),
+    pytest.param("label,x1\n1,2.0\n,3.0\n", (ParseError, 3), id="label-empty"),
+    pytest.param("label,x1\n1,\n", (ParseError, 2), id="value-empty"),
+    pytest.param("label,x1,x2\n1,2.0,3.0,4.0\n", (ParseError, 2), id="extra-field"),
+    # spellings float() and int() take are still taken, and only those
+    pytest.param("label,x1\n1,1_0\n", ([1], [[10.0]]), id="underscore"),
+    pytest.param("label,x1,x2\n2,\uff11\uff12,-\u0663.5\n", ([2], [[12.0, -3.5]]),
+                 id="unicode-digits"),
+    pytest.param("label,x1\n 1,2.5\n2 ,\t-1e3 \n", ([1, 2], [[2.5], [-1000.0]]),
+                 id="padded"),
+    pytest.param("label,x1\n1,\x1f2\n", (ParseError, 2), id="unit-separator"),
+    # CRLF, a single row without a final newline, only a header
+    pytest.param("label,x1,x2\r\n1,0.5,2\r\n2,1,-1\r\n",
+                 ([1, 2], [[0.5, 2.0], [1.0, -1.0]]), id="crlf"),
+    pytest.param("label,x1,x2\n2,0.25,-4", ([2], [[0.25, -4.0]]), id="one-row"),
+    pytest.param("label,x1,x2\n", ([], []), id="header-only"),
+    # the first non-finite value is refused with its file line
+    *[pytest.param(f"label,x1,x2\n1,0.5,0.5\n\n2,1.0,2.0\n\n2,1.0,{v}\n1,{v},0\n",
+                   (ParseError, 6), id=f"nonfinite-{v}")
+      for v in ("nan", "NaN", "inf", "-inf", "Infinity", "1e400")],
+    pytest.param("label,x1\n1,nan\n2,x\n", (ParseError, 3), id="nonfinite-then-bad"),
+])
+def test_csv_edge_cases(tmp_path, text, expected):
+    assert _load_outcome(tmp_path, text) == expected

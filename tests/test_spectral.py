@@ -164,6 +164,18 @@ def test_projector_constructor_rejects_non_idempotent():
         Projector(np.array([[0.5, 0.0], [0.0, 0.5]]), 1)
 
 
+def test_projector_constructor_rejects_oblique_projection():
+    # idempotent with trace 1, but not symmetric: (0, 1) is orthogonal to
+    # its range, yet this matrix would give it membership 1
+    with pytest.raises(InvalidMatrix):
+        Projector(np.array([[1.0, 1.0], [0.0, 0.0]]), 1)
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 5, 16):
+        for rank in range(n + 1):
+            p = random_projector(rng, n, rank)
+            assert Projector(p.matrix, rank).rank == rank
+
+
 def test_projector_constructor_rejects_nan():
     with pytest.raises(InvalidMatrix):
         Projector(np.full((2, 2), np.nan), 1)
