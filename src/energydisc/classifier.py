@@ -312,7 +312,13 @@ _MODEL_KEYS = ("format_version", "n", "mode", "p1", "p2", "trK1", "trK2",
 
 
 def _fmt_floats(values: np.ndarray) -> str:
-    return ",".join(_FLOAT_FMT % v for v in np.asarray(values, dtype=float).ravel())
+    flat = np.asarray(values, dtype=float).ravel().tolist()
+    return ",".join([_FLOAT_FMT] * len(flat)) % tuple(flat)
+
+
+def _parse_floats(text: str) -> np.ndarray:
+    """Comma-separated floats as a 1-d array; ValueError names a bad entry."""
+    return np.array(list(map(float, text.split(","))))
 
 
 def format_model(clf: EnergyClassifier) -> str:
@@ -354,10 +360,10 @@ def parse_model(text: str) -> EnergyClassifier:
         prior2 = float(fields["p2"])
         tr_k1 = float(fields["trK1"])
         tr_k2 = float(fields["trK2"])
-        mean1 = np.array([float(v) for v in fields["m1"].split(",")])
-        mean2 = np.array([float(v) for v in fields["m2"].split(",")])
-        spectrum = np.array([float(v) for v in fields["spectrum"].split(",")])
-        p1_entries = np.array([float(v) for v in fields["P1"].split(",")])
+        mean1 = _parse_floats(fields["m1"])
+        mean2 = _parse_floats(fields["m2"])
+        spectrum = _parse_floats(fields["spectrum"])
+        p1_entries = _parse_floats(fields["P1"])
     except ValueError as exc:
         raise ParseError(f"bad model field: {exc}") from exc
     if n < 1 or mean1.shape != (n,) or mean2.shape != (n,) or spectrum.shape != (n,):
@@ -370,6 +376,8 @@ def parse_model(text: str) -> EnergyClassifier:
     if not (0.0 < prior1 < 1.0 and 0.0 < prior2 < 1.0
             and abs(prior1 + prior2 - 1.0) <= 1e-12):
         raise ParseError(f"priors {prior1}, {prior2} must lie in (0,1) and sum to 1")
+    if mode is NormalizationMode.TRACE and not (tr_k1 > 0.0 and tr_k2 > 0.0):
+        raise ParseError(f"trace mode needs positive trK1, trK2, got {tr_k1}, {tr_k2}")
     p1_matrix = p1_entries.reshape(n, n)
     proj1 = Projector(p1_matrix, int(round(float(np.trace(p1_matrix)))))
     return EnergyClassifier(

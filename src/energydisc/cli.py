@@ -15,7 +15,7 @@ import numpy as np
 
 from . import classifier as clf_mod
 from . import datasets as ds_mod
-from .datasets import _FLOAT_FMT, _first_zero_norm
+from .datasets import _FLOAT_FMT, _first_zero_norm, _read_lines, _row_line
 from .errors import EmptyClass, EnergydiscError
 from .moments import estimate_moments
 from .spectral import sym_matrix
@@ -135,6 +135,7 @@ def _split_moments(data: ds_mod.LabeledDataset):
 def _cmd_fit(args) -> int:
     mode = clf_mod.NormalizationMode(args.mode)
     data = ds_mod.load_csv(args.data)
+    _check_unit_rows(mode, data, args.data)
     if mode is clf_mod.NormalizationMode.UNIT:
         data = ds_mod.unit_normalized(data)
     if args.priors_from_data:
@@ -148,15 +149,16 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _check_unit_rows(model, data: ds_mod.LabeledDataset) -> None:
-    """Name the CSV line of any zero row a unit-norm model cannot score."""
-    if model.mode is not clf_mod.NormalizationMode.UNIT:
+def _check_unit_rows(mode, data: ds_mod.LabeledDataset, path) -> None:
+    """In unit mode, name the line of the CSV at `path` holding the first
+    zero row of `data` (loaded from it), which cannot be unit-normalized."""
+    if mode is not clf_mod.NormalizationMode.UNIT:
         return
     bad = _first_zero_norm(np.linalg.norm(data.features, axis=1))
     if bad is not None:
         raise EnergydiscError(
-            f"zero vector at line {bad + 2} of the data file "
-            "cannot be scored by a unit-norm model"
+            f"zero vector at line {_row_line(_read_lines(path), bad)} of the data file "
+            "cannot be unit-normalized"
         )
 
 
@@ -165,7 +167,7 @@ def _cmd_predict(args) -> int:
     data = ds_mod.load_csv(args.data)
     if len(data) == 0:
         return 0
-    _check_unit_rows(model, data)
+    _check_unit_rows(model.mode, data, args.data)
     for label in clf_mod.decide_batch(model, data.features):
         print(int(label))
     return 0
@@ -174,7 +176,7 @@ def _cmd_predict(args) -> int:
 def _cmd_eval(args) -> int:
     model = clf_mod.load_model(args.model)
     data = ds_mod.load_csv(args.data)
-    _check_unit_rows(model, data)
+    _check_unit_rows(model.mode, data, args.data)
     moment_data = data
     if model.mode is clf_mod.NormalizationMode.UNIT:
         moment_data = ds_mod.unit_normalized(data)

@@ -101,6 +101,8 @@ def gen_example1(
     m2 = np.asarray(m2, dtype=float)
     if m1.shape != (n,) or m2.shape != (n,):
         raise DimensionMismatch("means must have length n")
+    if not (np.all(np.isfinite(m1)) and np.all(np.isfinite(m2))):
+        raise InvalidParameter("class means must be finite")
     if abs(float(m1 @ m2)) > 1e-9 * np.linalg.norm(m1) * np.linalg.norm(m2):
         raise InvalidParameter("class means must be orthogonal")
     cov = sym_matrix(covariance)
@@ -125,8 +127,10 @@ def gen_example2(
     a = np.asarray(a, dtype=float)
     if a.shape != (n,):
         raise DimensionMismatch("signal vector must have length n")
-    if sigma2 <= 0.0:
-        raise InvalidParameter("noise variance must be positive")
+    if not np.all(np.isfinite(a)):
+        raise InvalidParameter("signal vector must be finite")
+    if not 0.0 < sigma2 < np.inf:  # NaN fails both comparisons
+        raise InvalidParameter("noise variance must be finite and positive")
     rng = make_rng(seed)
     sigma = np.sqrt(sigma2)
     rows1 = a + sigma * rng.standard_normal((per_class, n))
@@ -194,9 +198,19 @@ def _parse_table(rows: list[str], n: int) -> tuple[np.ndarray, np.ndarray] | Non
     return table[:, 0].astype(int), np.ascontiguousarray(table[:, 1:])
 
 
-def load_csv(path) -> LabeledDataset:
+def _read_lines(path) -> list[str]:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        return fh.read().splitlines()
+
+
+def _row_line(lines: list[str], row: int) -> int:
+    """File line number (1-based, blank lines counted) of data row `row`
+    (0-based), the data rows being the non-empty lines after the header."""
+    return [i for i, line in enumerate(lines[1:], start=2) if line][row]
+
+
+def load_csv(path) -> LabeledDataset:
+    lines = _read_lines(path)
     if not lines:
         raise ParseError("missing header", 1)
     fields = lines[0].split(",")
@@ -209,6 +223,6 @@ def load_csv(path) -> LabeledDataset:
     labels, features = parsed if parsed is not None else _parse_rows(lines, n)
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
-        linenos = [i for i, line in enumerate(lines[1:], start=2) if line]
-        raise ParseError("values must be finite numbers", linenos[int(np.argmin(finite))])
+        raise ParseError("values must be finite numbers",
+                         _row_line(lines, int(np.argmin(finite))))
     return LabeledDataset(labels, features)

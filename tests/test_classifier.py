@@ -376,6 +376,33 @@ def test_model_file_round_trip(tmp_path):
     assert path.read_bytes() == (tmp_path / "again.txt").read_bytes()
 
 
+def _per_entry_model_text(clf):
+    """Model text with every float formatted on its own, entry by entry."""
+    def floats(values):
+        return ",".join("%.17g" % v for v in np.asarray(values, dtype=float).ravel())
+
+    fields = [("format_version", "1"), ("n", str(clf.dim)), ("mode", clf.mode.value),
+              ("p1", "%.17g" % clf.prior1), ("p2", "%.17g" % clf.prior2),
+              ("trK1", "%.17g" % clf.tr_k1), ("trK2", "%.17g" % clf.tr_k2),
+              ("m1", floats(clf.mean1)), ("m2", floats(clf.mean2)),
+              ("spectrum", floats(clf.spectrum)), ("P1", floats(clf.proj1.matrix))]
+    return "".join(f"{key}={value}\n" for key, value in fields)
+
+
+@pytest.mark.parametrize("mode", list(NormalizationMode))
+@pytest.mark.parametrize("n", [1, 3, 64])
+def test_format_model_matches_per_entry_format(n, mode):
+    rng = np.random.default_rng(n)
+    data = gen_example2(n, rng.standard_normal(n), 0.7, per_class=200, seed=n)
+    if mode is NormalizationMode.UNIT:
+        data = unit_normalized(data)
+    clf = fit(ClassSpec(0.45, estimate_moments(data.class_features(1))),
+              ClassSpec(0.55, estimate_moments(data.class_features(2))), mode)
+    text = format_model(clf)
+    assert text == _per_entry_model_text(clf)
+    assert format_model(parse_model(text)) == text
+
+
 def test_parse_model_rejects_garbage():
     clf = fit(*gaussian_pair())
     text = format_model(clf)
@@ -400,6 +427,24 @@ def test_parse_model_rejects_nonfinite_fields(key, value):
     text = format_model(fit(*gaussian_pair()))
     with pytest.raises(ParseError):
         parse_model(_replace_field(text, key, value))
+
+
+@pytest.mark.parametrize("key", ["m1", "m2", "spectrum", "P1"])
+@pytest.mark.parametrize("entry", ["abc", "", "1.5.2"])
+def test_parse_model_rejects_bad_vector_entry(key, entry):
+    text = format_model(fit(*gaussian_pair()))
+    value = text.split(f"\n{key}=", 1)[1].split("\n", 1)[0].split(",")
+    value[-1] = entry
+    with pytest.raises(ParseError, match="bad model field: could not convert"):
+        parse_model(_replace_field(text, key, ",".join(value)))
+
+
+@pytest.mark.parametrize("tr_k1, tr_k2", [("0", "2"), ("2", "-1"), ("-0.5", "-0.5")])
+def test_parse_model_rejects_nonpositive_traces_in_trace_mode(tr_k1, tr_k2):
+    text = format_model(fit(*gaussian_pair(), NormalizationMode.TRACE))
+    text = _replace_field(_replace_field(text, "trK1", tr_k1), "trK2", tr_k2)
+    with pytest.raises(ParseError, match="trace mode"):
+        parse_model(text)
 
 
 @pytest.mark.parametrize("p1, p2", [("7", "-6"), ("0", "1"), ("0.3", "0.3")])

@@ -122,6 +122,24 @@ def test_unit_predict_names_bad_line(capsys, tmp_path):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("command", ["fit", "predict", "eval"])
+def test_unit_zero_row_line_counts_blank_lines(capsys, tmp_path, command):
+    train = tmp_path / "train.csv"
+    train.write_text("label,x1,x2\n1,1,0.1\n1,2,0.3\n2,0.2,1\n2,0.1,2\n",
+                     encoding="utf-8")
+    model_path = fit_model(capsys, tmp_path, train, mode="unit")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("label,x1,x2\n1,1,0\n\n\n1,0,0\n", encoding="utf-8")
+    if command == "fit":
+        argv = ["--mode", "unit", "--out", str(tmp_path / "again.txt")]
+    else:
+        argv = ["--model", str(model_path)]
+    code, out, err = run_cli(capsys, command, *argv, "--data", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "zero vector at line 5" in err
+
+
 def test_predict_empty_data(capsys, tmp_path):
     data = gen_data(capsys, tmp_path)
     model_path = fit_model(capsys, tmp_path, data)
@@ -193,6 +211,23 @@ def test_usage_errors_exit_1(capsys, tmp_path):
             assert code == 1, (command, per_class, seed)
             assert "usage" in err and "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-example2", "--n", "2", "--a", "1,0", "--sigma2", "nan"],
+    ["gen-example2", "--n", "2", "--a", "1,0", "--sigma2", "inf"],
+    ["gen-example2", "--n", "2", "--a", "nan,0", "--sigma2", "1"],
+    ["gen-example1", "--n", "2", "--m1", "inf,0", "--m2", "0,1"],
+    ["gen-example1", "--n", "2", "--m1", "1,0", "--m2", "0,-inf"],
+])
+def test_gen_rejects_nonfinite_parameters(capsys, tmp_path, argv):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run_cli(capsys, *argv, "--per-class", "3", "--seed", "0",
+                             "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out_path.exists()
 
 
 def test_missing_files_exit_2(capsys, tmp_path):

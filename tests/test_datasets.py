@@ -64,6 +64,14 @@ def test_gen_example1_requires_orthogonal_means():
         gen_example1(2, [1.0, 0.0], [1.0, 1.0], np.eye(2), per_class=5, seed=0)
 
 
+@pytest.mark.parametrize("m1, m2", [([np.inf, 0.0], [0.0, 1.0]),
+                                    ([1.0, 0.0], [0.0, np.nan]),
+                                    ([-np.inf, 0.0], [0.0, np.inf])])
+def test_gen_example1_rejects_nonfinite_means(m1, m2):
+    with pytest.raises(InvalidParameter):
+        gen_example1(2, m1, m2, np.eye(2), per_class=5, seed=0)
+
+
 def test_gen_example1_shape_checks():
     with pytest.raises(DimensionMismatch):
         gen_example1(2, [1.0, 0.0, 0.0], [0.0, 1.0], np.eye(2), per_class=5, seed=0)
@@ -81,8 +89,12 @@ def test_gen_example2_layout_and_moments():
 
 
 def test_gen_example2_rejects_bad_noise():
-    with pytest.raises(InvalidParameter):
-        gen_example2(2, [1.0, 0.0], 0.0, per_class=5, seed=0)
+    for sigma2 in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameter):
+            gen_example2(2, [1.0, 0.0], sigma2, per_class=5, seed=0)
+    for a in ([np.nan, 0.0], [1.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(InvalidParameter):
+            gen_example2(2, a, 1.0, per_class=5, seed=0)
     with pytest.raises(DimensionMismatch):
         gen_example2(2, [1.0, 0.0, 0.0], 1.0, per_class=5, seed=0)
 

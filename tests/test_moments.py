@@ -53,6 +53,20 @@ def test_estimate_decomposition_identity():
         np.testing.assert_allclose(s.correlation, x.T @ x / count, atol=1e-10)
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_estimate_correlation_matches_extended_precision(offset):
+    # K is derived as R + m m^T; compare it with x^T x / N summed in
+    # long double from the same float64 samples, also far from the origin
+    rng = np.random.default_rng(43)
+    n = 6
+    x = offset * rng.uniform(-1.0, 1.0, n) + rng.standard_normal((400, n)) * 2.0
+    s = estimate_moments(x)
+    xl = x.astype(np.longdouble)
+    reference = xl.T @ xl / x.shape[0]
+    err = np.max(np.abs(s.correlation.astype(np.longdouble) - reference))
+    assert err <= 1e-13 * np.max(np.abs(reference))
+
+
 def test_estimate_matrices_are_symmetric():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((17, 5))
