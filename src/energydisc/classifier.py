@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import _FLOAT_FMT, LabeledDataset, _first_zero_norm
+from .datasets import _FLOAT_FMT, LabeledDataset, _first_nonfinite_row, _first_zero_norm
 from .errors import (
     DegenerateTrace,
     DimensionMismatch,
@@ -40,7 +40,7 @@ from .errors import (
     ZeroSignal,
 )
 from .moments import MomentSummary
-from .spectral import Projector, complement, projector_from_basis, sym_eig, sym_matrix
+from .spectral import Projector, _projector_pair, sym_eig, sym_matrix
 
 
 class NormalizationMode(enum.Enum):
@@ -85,11 +85,12 @@ class EnergyClassifier:
     spectrum: np.ndarray
 
     def __post_init__(self):
-        # written as not (err <= tol) so that NaN entries fail the checks
-        resid = self.proj1.matrix + self.proj2.matrix - np.eye(self.dim)
-        if not np.max(np.abs(resid)) <= 1e-9:
+        # P_1 + P_2 = I and P_1 P_2 = 0 hold iff [U_1 U_2] is an orthogonal
+        # n-by-n matrix; written as not (err <= tol) so that NaN entries fail
+        if self.proj1.rank + self.proj2.rank != self.dim:
             raise InvalidParameter("projectors do not sum to the identity")
-        if not np.max(np.abs(self.proj1.matrix @ self.proj2.matrix)) <= 1e-9:
+        w = np.hstack([self.proj1.basis, self.proj2.basis])
+        if not np.max(np.abs(w.T @ w - np.eye(self.dim))) <= 1e-9:
             raise InvalidParameter("projectors are not mutually orthogonal")
 
 
@@ -141,12 +142,11 @@ def fit(
     values, vectors = sym_eig(diff)
     eps = 1e-10 * max(1.0, float(np.max(np.abs(values), initial=0.0)))
     positive = values > eps
-    proj1 = projector_from_basis(list(vectors[:, positive].T), dim=n)
     return EnergyClassifier(
         dim=n,
         mode=mode,
-        proj1=proj1,
-        proj2=complement(proj1),
+        proj1=Projector._from_basis(vectors[:, positive]),
+        proj2=Projector._from_basis(vectors[:, ~positive]),
         prior1=class1.prior,
         prior2=class2.prior,
         tr_k1=float(np.trace(class1.moments.correlation)),
@@ -172,6 +172,9 @@ def discriminants(clf: EnergyClassifier, x: np.ndarray) -> tuple[np.ndarray, np.
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != clf.dim:
         raise DimensionMismatch(f"vectors of length {x.shape[1]} vs model dim {clf.dim}")
+    bad = _first_nonfinite_row(x)
+    if bad is not None:
+        raise InvalidParameter(f"non-finite value at row {bad + 1}")
     mode = clf.mode
     if mode is NormalizationMode.UNIT:
         norms = np.linalg.norm(x, axis=1)
@@ -294,8 +297,8 @@ def snr(a, sigma2: float, n: int | None = None) -> float:
     a = np.asarray(a, dtype=float)
     if n is None:
         n = a.shape[0]
-    if sigma2 <= 0.0:
-        raise InvalidParameter("noise variance must be positive")
+    if not 0.0 < sigma2 < np.inf:  # NaN fails both comparisons
+        raise InvalidParameter("noise variance must be finite and positive")
     if n < 1:
         raise InvalidParameter("dimension must be at least 1")
     return float(a @ a) / (n * sigma2)
@@ -303,7 +306,8 @@ def snr(a, sigma2: float, n: int | None = None) -> float:
 
 # -- model persistence ---------------------------------------------------
 #
-# Versioned key=value text; P2 is reconstructed as I - P1 on load. All
+# Versioned key=value text; P2 is reconstructed as I - P1 on load, from
+# the same eigendecomposition that gives P1 its basis. All
 # floats are written with 17 significant digits so a save/load round
 # trip is bit-exact and decisions are reproducible.
 
@@ -379,12 +383,12 @@ def parse_model(text: str) -> EnergyClassifier:
     if mode is NormalizationMode.TRACE and not (tr_k1 > 0.0 and tr_k2 > 0.0):
         raise ParseError(f"trace mode needs positive trK1, trK2, got {tr_k1}, {tr_k2}")
     p1_matrix = p1_entries.reshape(n, n)
-    proj1 = Projector(p1_matrix, int(round(float(np.trace(p1_matrix)))))
+    proj1, proj2 = _projector_pair(p1_matrix, int(round(float(np.trace(p1_matrix)))))
     return EnergyClassifier(
         dim=n,
         mode=mode,
         proj1=proj1,
-        proj2=complement(proj1),
+        proj2=proj2,
         prior1=prior1,
         prior2=prior2,
         tr_k1=tr_k1,

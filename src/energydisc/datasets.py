@@ -45,6 +45,12 @@ def _first_zero_norm(norms: np.ndarray) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
+def _first_nonfinite_row(x: np.ndarray) -> int | None:
+    """Index of the first row holding nan or inf, or None if there is none."""
+    finite = np.isfinite(x).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Feature rows with class labels in {1, 2}."""
@@ -62,6 +68,9 @@ class LabeledDataset:
         bad = np.setdiff1d(labels, (1, 2))
         if bad.size:
             raise LabelError(f"labels must be 1 or 2, found {bad[0]}")
+        bad = _first_nonfinite_row(features)
+        if bad is not None:
+            raise InvalidParameter(f"non-finite feature at row {bad + 1}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "features", features)
 
@@ -131,12 +140,13 @@ def gen_example2(
         raise InvalidParameter("signal vector must be finite")
     if not 0.0 < sigma2 < np.inf:  # NaN fails both comparisons
         raise InvalidParameter("noise variance must be finite and positive")
-    rng = make_rng(seed)
-    sigma = np.sqrt(sigma2)
-    rows1 = a + sigma * rng.standard_normal((per_class, n))
-    rows2 = sigma * rng.standard_normal((per_class, n))
+    # one draw for both classes gives the same stream as one per class;
+    # scaling and shifting in place gives the same values as a + sigma * eta
+    features = make_rng(seed).standard_normal((2 * per_class, n))
+    features *= np.sqrt(sigma2)
+    features[:per_class] += a
     labels = np.repeat([1, 2], per_class)
-    return LabeledDataset(labels, np.vstack([rows1, rows2]))
+    return LabeledDataset(labels, features)
 
 
 def unit_normalized(data: LabeledDataset) -> LabeledDataset:
@@ -221,8 +231,7 @@ def load_csv(path) -> LabeledDataset:
         raise ParseError(f"bad header {lines[0]!r}", 1)
     parsed = _parse_table([line for line in lines[1:] if line], n)
     labels, features = parsed if parsed is not None else _parse_rows(lines, n)
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise ParseError("values must be finite numbers",
-                         _row_line(lines, int(np.argmin(finite))))
+    bad = _first_nonfinite_row(features)
+    if bad is not None:
+        raise ParseError("values must be finite numbers", _row_line(lines, bad))
     return LabeledDataset(labels, features)

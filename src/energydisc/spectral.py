@@ -1,22 +1,25 @@
 """Dense symmetric eigendecomposition and orthogonal projectors.
 
 The eigensolver is LAPACK's symmetric solver (numpy.linalg.eigh) with
-a fixed order and sign convention, and every projector is built from a
-spanning set by one rank-revealing SVD. Projectors are symmetric
-idempotent matrices with a cached integer rank; they double as
-propositions of the projection lattice (see :mod:`energydisc.logic`).
+a fixed order and sign convention. A projector is stored as its
+orthonormal basis U (n-by-k), so P = U U^T, rank k = the column count
+and the matrix is derived on demand. Bases come from the decomposition
+that defines the subspace: a rank-revealing SVD of a spanning set, the
+eigenvectors of a fit, or a complete QR for the complement. Projectors
+double as propositions of the projection lattice (see
+:mod:`energydisc.logic`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidMatrix
 
-# Idempotency / trace-rank slack accepted by the Projector constructor.
+# Idempotency / trace-rank slack accepted by the Projector constructor;
+# the orthonormality slack of a stored basis.
 _PROJ_ATOL = 1e-9
 _RANK_ATOL = 1e-8
 
@@ -71,28 +74,84 @@ def sym_eig(matrix: Iterable) -> EigenDecomposition:
     return EigenDecomposition(values, np.where(flip, -vectors, vectors))
 
 
-@dataclass(frozen=True)
+def _eigen_split(matrix: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the range and the kernel of an orthogonal
+    projection matrix, both taken from one `sym_eig`.
+
+    Raises:
+        InvalidMatrix: the matrix is not symmetric and idempotent within
+            1e-9, its trace is not `rank` within 1e-8, or `rank` is not a
+            whole number.
+    """
+    m = matrix
+    # P P^T = P holds exactly for symmetric idempotent P, so one product
+    # checks both; written as not (err <= tol) so that NaN entries fail
+    if not np.max(np.abs(m @ m.T - m), initial=0.0) <= _PROJ_ATOL:
+        raise InvalidMatrix("projector matrix is not an orthogonal projection")
+    if not abs(np.trace(m) - rank) <= _RANK_ATOL:
+        raise InvalidMatrix("projector trace does not match rank")
+    k = int(rank)
+    if k != rank:
+        raise InvalidMatrix(f"projector rank {rank} is not a whole number")
+    vectors = sym_eig(m).eigenvectors  # eigenvalue 1 first, then 0
+    return vectors[:, :k], vectors[:, k:]
+
+
 class Projector:
-    """Orthogonal projection: symmetric, idempotent, with integer rank."""
+    """Orthogonal projection P = U U^T, represented by U (n-by-k), whose
+    orthonormal columns span the range; rank and dim are U's shape.
 
-    matrix: np.ndarray
-    rank: int
+    `Projector(matrix, rank)` validates a symmetric idempotent matrix and
+    takes U from its eigendecomposition; `matrix` then returns the given
+    matrix. Every projector the package builds itself is made from a
+    basis, and its `matrix` is U U^T, formed on first use and cached.
+    """
 
-    def __post_init__(self):
-        m = self.matrix
-        # P P^T = P holds exactly for symmetric idempotent P, so one product
-        # checks both; written as not (err <= tol) so that NaN entries fail
-        if not np.max(np.abs(m @ m.T - m), initial=0.0) <= _PROJ_ATOL:
-            raise InvalidMatrix("projector matrix is not an orthogonal projection")
-        if not abs(np.trace(m) - self.rank) <= _RANK_ATOL:
-            raise InvalidMatrix("projector trace does not match rank")
+    def __init__(self, matrix: np.ndarray, rank: int):
+        self._basis = _eigen_split(matrix, rank)[0]
+        self._matrix = matrix
+
+    @classmethod
+    def _from_basis(cls, basis: np.ndarray, matrix: np.ndarray | None = None) -> "Projector":
+        """Projector onto the span of orthonormal columns (checked within 1e-9)."""
+        gram = basis.T @ basis
+        # written as not (err <= tol) so that NaN entries fail
+        if not np.max(np.abs(gram - np.eye(basis.shape[1])), initial=0.0) <= _PROJ_ATOL:
+            raise InvalidMatrix("projector basis is not orthonormal")
+        p = cls.__new__(cls)
+        p._basis = basis
+        p._matrix = matrix
+        return p
+
+    @property
+    def basis(self) -> np.ndarray:
+        """U: n-by-rank, orthonormal columns spanning the range."""
+        return self._basis
+
+    @property
+    def rank(self) -> int:
+        return self._basis.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self._basis.shape[0]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            m = self._basis @ self._basis.T
+            self._matrix = 0.5 * (m + m.T)
+        return self._matrix
+
+    def __repr__(self) -> str:
+        return f"Projector(dim={self.dim}, rank={self.rank})"
+
+
+def _projector_pair(matrix: np.ndarray, rank: int) -> tuple[Projector, Projector]:
+    """P (keeping `matrix`) and I - P, validated as `Projector(matrix,
+    rank)` is, from one eigendecomposition."""
+    range_basis, kernel_basis = _eigen_split(matrix, rank)
+    return Projector._from_basis(range_basis, matrix), Projector._from_basis(kernel_basis)
 
 
 def projector_from_basis(vectors: Sequence, dim: int | None = None) -> Projector:
@@ -101,8 +160,9 @@ def projector_from_basis(vectors: Sequence, dim: int | None = None) -> Projector
     The span is found by a rank-revealing SVD of the vectors taken as
     columns: left singular vectors whose singular value is at most 1e-10
     times the largest input norm are dropped, so the rank is the
-    dimension of the span. An empty sequence gives the zero projector,
-    in which case `dim` is required.
+    dimension of the span, and the kept ones are the stored basis. An
+    empty sequence gives the zero projector, in which case `dim` is
+    required.
     """
     vecs = [np.asarray(u, dtype=float) for u in vectors]
     if vecs:
@@ -119,19 +179,19 @@ def projector_from_basis(vectors: Sequence, dim: int | None = None) -> Projector
     if not np.all(np.isfinite(columns)):
         raise InvalidMatrix("basis vectors must be finite")
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    basis = u[:, s > 1e-10 * np.max(np.linalg.norm(columns, axis=0))]
-    return Projector(sym_matrix(basis @ basis.T), basis.shape[1])
+    return Projector._from_basis(u[:, s > 1e-10 * np.max(np.linalg.norm(columns, axis=0))])
 
 
 def zero_projector(dim: int) -> Projector:
-    return Projector(np.zeros((dim, dim)), 0)
+    return Projector._from_basis(np.zeros((dim, 0)))
 
 
 def identity_projector(dim: int) -> Projector:
-    return Projector(np.eye(dim), dim)
+    return Projector._from_basis(np.eye(dim))
 
 
 def complement(p: Projector) -> Projector:
-    """Orthogonal complement I - P (the lattice negation)."""
-    n = p.dim
-    return Projector(sym_matrix(np.eye(n) - p.matrix), n - p.rank)
+    """Orthogonal complement I - P (the lattice negation): the trailing
+    columns of a complete QR factorization of P's basis."""
+    q = np.linalg.qr(p.basis, mode="complete")[0]
+    return Projector._from_basis(q[:, p.rank:])

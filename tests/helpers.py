@@ -6,7 +6,13 @@ The package's eigensolver and projector build go through LAPACK
 is a cyclic Jacobi iteration written in plain Python, so it shares no
 code with that path; Jacobi also keeps relative accuracy on graded PSD
 operators (Demmel & Veselic 1992). The random orthonormal frames come
-from numpy QR, which the package does not use.
+from numpy QR, which the package uses only for the complement.
+
+The lattice oracles `eigh_meet`, `eigh_join` and `eigh_leq` are the
+package's former connectives, which worked on n-by-n matrices: meet and
+join from the eigenvalue-2 and nonzero eigenspaces of P + Q, the order
+from the smallest eigenvalue of Q - P, all with the same 1e-8 cutoff.
+The package now computes them from the orthonormal bases.
 """
 
 import os
@@ -15,7 +21,15 @@ from pathlib import Path
 import numpy as np
 
 import energydisc
-from energydisc import EigenDecomposition, InvalidMatrix, Projector, sym_matrix
+from energydisc import (
+    EigenDecomposition,
+    InvalidMatrix,
+    Projector,
+    projector_from_basis,
+    sym_eig,
+    sym_matrix,
+)
+from energydisc.logic import _check_same_dim
 
 # Convergence target for the Jacobi sweep, relative to the Frobenius
 # norm of the input: off-diagonal mass below this is "diagonal".
@@ -25,6 +39,10 @@ _MAX_SWEEPS = 100
 # First eigenvector component larger than this (in absolute value) is
 # forced positive, the same convention as energydisc.sym_eig.
 _SIGN_EPS = 1e-12
+
+# Absolute eigenvalue classification tolerance; spectra of P + Q live in
+# [0, 2], so an absolute cutoff is well-scaled.
+_EIG_ATOL = 1e-8
 
 
 def subprocess_env() -> dict:
@@ -126,3 +144,26 @@ def jacobi_eig(matrix) -> EigenDecomposition:
         if lead.size and vectors[lead[0], j] < 0.0:
             vectors[:, j] = -vectors[:, j]
     return EigenDecomposition(eigenvalues, vectors)
+
+
+def eigh_meet(p: Projector, q: Projector) -> Projector:
+    """Greatest lower bound: projector onto ran(P) intersected with ran(Q)."""
+    _check_same_dim(p, q)
+    values, vectors = sym_eig(p.matrix + q.matrix)
+    keep = values >= 2.0 - _EIG_ATOL
+    return projector_from_basis(list(vectors[:, keep].T), dim=p.dim)
+
+
+def eigh_join(p: Projector, q: Projector) -> Projector:
+    """Least upper bound: projector onto ran(P) + ran(Q)."""
+    _check_same_dim(p, q)
+    values, vectors = sym_eig(p.matrix + q.matrix)
+    keep = values > _EIG_ATOL
+    return projector_from_basis(list(vectors[:, keep].T), dim=p.dim)
+
+
+def eigh_leq(p: Projector, q: Projector) -> bool:
+    """Operator order: P <= Q iff <Px,x> <= <Qx,x> for every x."""
+    _check_same_dim(p, q)
+    smallest = sym_eig(sym_matrix(q.matrix - p.matrix)).eigenvalues[-1]
+    return bool(smallest >= -_EIG_ATOL)

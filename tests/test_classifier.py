@@ -105,7 +105,7 @@ def test_classifier_rejects_non_complementary_projectors():
 def test_classifier_rejects_nan_projector_entries():
     p = zero_projector(2)
     q = complement(p)
-    q.matrix[0, 0] = np.nan  # the array inside a validated Projector is mutable
+    q.basis[0, 0] = np.nan  # the basis inside a validated Projector is mutable
     with pytest.raises(InvalidParameter):
         EnergyClassifier(
             dim=2, mode=NormalizationMode.RAW, proj1=p, proj2=q,
@@ -236,6 +236,19 @@ def test_unit_mode_rejects_zero_vector():
         decide(clf, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("mode", list(NormalizationMode))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_discriminants_reject_nonfinite_rows(mode, value):
+    clf = fit(*gaussian_pair(), mode)
+    x = np.array([[1.0, 0.0], [value, 1.0], [0.0, 1.0]])
+    with pytest.raises(InvalidParameter, match="row 2"):
+        discriminants(clf, x)
+    with pytest.raises(InvalidParameter, match="row 2"):
+        decide_batch(clf, x)
+    with pytest.raises(InvalidParameter, match="row 1"):
+        decide(clf, x[1])
+
+
 # -- energy bookkeeping ----------------------------------------------------
 
 
@@ -296,6 +309,12 @@ def test_snr_values_and_errors():
         snr([1.0], 0.0)
     with pytest.raises(InvalidParameter):
         snr([1.0], 1.0, n=0)
+
+
+@pytest.mark.parametrize("sigma2", [np.nan, np.inf, 0.0, -1.0])
+def test_snr_rejects_bad_noise_variance(sigma2):
+    with pytest.raises(InvalidParameter):
+        snr([1.0, 0.0], sigma2)
 
 
 # -- sample-based estimates ------------------------------------------------

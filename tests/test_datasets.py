@@ -34,6 +34,14 @@ def test_labeled_dataset_validation():
         LabeledDataset(np.array([1]), np.zeros(3))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_labeled_dataset_rejects_nonfinite_features(value):
+    features = np.zeros((3, 2))
+    features[1, 0] = value
+    with pytest.raises(InvalidParameter, match="row 2"):
+        LabeledDataset(np.array([1, 2, 1]), features)
+
+
 def test_make_rng_reproducible():
     a = make_rng(1234).standard_normal(5)
     b = make_rng(1234).standard_normal(5)

@@ -176,6 +176,13 @@ def test_projector_constructor_rejects_oblique_projection():
             assert Projector(p.matrix, rank).rank == rank
 
 
+def test_projector_constructor_rank_is_a_whole_number():
+    p = Projector(np.diag([1.0, 0.0]), 1.0)
+    assert p.rank == 1 and p.basis.shape == (2, 1)
+    with pytest.raises(InvalidMatrix):
+        Projector(np.diag([1.0, 0.0]), 1.0 + 1e-9)
+
+
 def test_projector_constructor_rejects_nan():
     with pytest.raises(InvalidMatrix):
         Projector(np.full((2, 2), np.nan), 1)
