@@ -40,7 +40,7 @@ from .errors import (
     ZeroSignal,
 )
 from .moments import MomentSummary
-from .spectral import Projector, _projector_pair, sym_eig, sym_matrix
+from .spectral import Projector, _projector_pair, complement, sym_eig, sym_matrix
 
 
 class NormalizationMode(enum.Enum):
@@ -121,6 +121,17 @@ def _mode_matrix(moments: MomentSummary, mode: NormalizationMode) -> np.ndarray:
     return k
 
 
+def _pair_from_smaller_basis(basis: np.ndarray, rank1: int) -> tuple[Projector, Projector]:
+    """(P_1, P_2) from the smaller of the two bases: U_1 (n-by-rank1) if
+    rank1 <= n - rank1, else U_2; the larger side is its complement.
+    `fit` and the version-2 model reader both build the pair here, so a
+    loaded model equals the fitted one bit for bit."""
+    small = Projector._from_basis(basis)
+    if rank1 <= basis.shape[0] - rank1:
+        return small, complement(small)
+    return complement(small), small
+
+
 def fit(
     class1: ClassSpec, class2: ClassSpec, mode: NormalizationMode = NormalizationMode.RAW
 ) -> EnergyClassifier:
@@ -141,12 +152,14 @@ def fit(
     diff = sym_matrix(class1.prior * m1 - class2.prior * m2)
     values, vectors = sym_eig(diff)
     eps = 1e-10 * max(1.0, float(np.max(np.abs(values), initial=0.0)))
-    positive = values > eps
+    k = int(np.count_nonzero(values > eps))  # values descend: U_1 is the first k columns
+    smaller = vectors[:, :k] if k <= n - k else vectors[:, k:]
+    proj1, proj2 = _pair_from_smaller_basis(smaller, k)
     return EnergyClassifier(
         dim=n,
         mode=mode,
-        proj1=Projector._from_basis(vectors[:, positive]),
-        proj2=Projector._from_basis(vectors[:, ~positive]),
+        proj1=proj1,
+        proj2=proj2,
         prior1=class1.prior,
         prior2=class2.prior,
         tr_k1=float(np.trace(class1.moments.correlation)),
@@ -157,9 +170,10 @@ def fit(
     )
 
 
-def _quadratic_forms(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """<P x, x> for every row x, as row sums of (x P) * x (P is symmetric)."""
-    return np.einsum("ij,ij->i", x @ p, x)
+def _energies(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """<P x, x> = ||x U||^2 for every row x, with U the basis of P."""
+    y = x @ basis
+    return np.einsum("ij,ij->i", y, y)
 
 
 def _labels(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
@@ -183,11 +197,11 @@ def discriminants(clf: EnergyClassifier, x: np.ndarray) -> tuple[np.ndarray, np.
             raise ZeroSignal(f"cannot unit-normalize zero vector at row {bad + 1}")
         x = x / norms[:, None]
     if mode is NormalizationMode.CENTERED:
-        g1 = _quadratic_forms(x - clf.mean1, clf.proj1.matrix)
-        g2 = _quadratic_forms(x - clf.mean2, clf.proj2.matrix)
+        g1 = _energies(x - clf.mean1, clf.proj1.basis)
+        g2 = _energies(x - clf.mean2, clf.proj2.basis)
     else:
-        g1 = _quadratic_forms(x, clf.proj1.matrix)
-        g2 = _quadratic_forms(x, clf.proj2.matrix)
+        g1 = _energies(x, clf.proj1.basis)
+        g2 = _energies(x, clf.proj2.basis)
         if mode is NormalizationMode.TRACE:
             if clf.tr_k1 <= 0.0 or clf.tr_k2 <= 0.0:
                 raise DegenerateTrace("trace mode needs positive correlation traces")
@@ -212,14 +226,18 @@ def energy_report(clf: EnergyClassifier, class1: ClassSpec, class2: ClassSpec) -
 
     Entry r[j-1, i-1] is the prior-weighted energy p_j tr(P_i M_j) that
     projector P_i passes from class S_j, with M_j the mode's operator.
+    Each entry is computed from P_i's own basis U_i as the sum of
+    (M_j U_i) * U_i, so Enr_C + Enr_E = total is a check, not an identity
+    of the arithmetic.
     """
     if class1.moments.dim != clf.dim or class2.moments.dim != clf.dim:
         raise DimensionMismatch("class moments do not match the model dimension")
     ops = (_mode_matrix(class1.moments, clf.mode), _mode_matrix(class2.moments, clf.mode))
     priors = (class1.prior, class2.prior)
-    projs = (clf.proj1.matrix, clf.proj2.matrix)
+    bases = (clf.proj1.basis, clf.proj2.basis)
     r = np.array(
-        [[priors[j] * np.trace(projs[i] @ ops[j]) for i in range(2)] for j in range(2)]
+        [[priors[j] * float(np.sum((ops[j] @ bases[i]) * bases[i])) for i in range(2)]
+         for j in range(2)]
     )
     total = priors[0] * float(np.trace(ops[0])) + priors[1] * float(np.trace(ops[1]))
     return EnergyReport(
@@ -306,13 +324,20 @@ def snr(a, sigma2: float, n: int | None = None) -> float:
 
 # -- model persistence ---------------------------------------------------
 #
-# Versioned key=value text; P2 is reconstructed as I - P1 on load, from
-# the same eigendecomposition that gives P1 its basis. All
-# floats are written with 17 significant digits so a save/load round
-# trip is bit-exact and decisions are reproducible.
+# Versioned key=value text. Version 2, the one written, stores the
+# smaller of the fit's two eigenbases: after the header, `rank1=k` and
+# then `U1=` (the n-by-k basis of P_1, row-major) if k <= n - k, else
+# `U2=` (the n-by-(n-k) basis of P_2), empty when k is 0 or n; the other
+# side is rebuilt as its complement, as `fit` builds it. Version 1 stores
+# the n-by-n matrix P1 and is still read: P2 = I - P1 and both bases come
+# from one eigendecomposition of P1. All floats are written with 17
+# significant digits so a save/load round trip is bit-exact and
+# decisions are reproducible.
 
-_MODEL_KEYS = ("format_version", "n", "mode", "p1", "p2", "trK1", "trK2",
-               "m1", "m2", "spectrum", "P1")
+_HEADER_KEYS = ("format_version", "n", "mode", "p1", "p2", "trK1", "trK2",
+                "m1", "m2", "spectrum")
+_VERSION_KEYS = {"1": ("P1",), "2": ("rank1", "U1", "U2")}
+_MODEL_KEYS = _HEADER_KEYS + _VERSION_KEYS["1"] + _VERSION_KEYS["2"]
 
 
 def _fmt_floats(values: np.ndarray) -> str:
@@ -326,9 +351,11 @@ def _parse_floats(text: str) -> np.ndarray:
 
 
 def format_model(clf: EnergyClassifier) -> str:
+    n, k = clf.dim, clf.proj1.rank
+    key, smaller = ("U1", clf.proj1) if k <= n - k else ("U2", clf.proj2)
     lines = [
-        "format_version=1",
-        f"n={clf.dim}",
+        "format_version=2",
+        f"n={n}",
         f"mode={clf.mode.value}",
         f"p1={_FLOAT_FMT % clf.prior1}",
         f"p2={_FLOAT_FMT % clf.prior2}",
@@ -337,13 +364,17 @@ def format_model(clf: EnergyClassifier) -> str:
         f"m1={_fmt_floats(clf.mean1)}",
         f"m2={_fmt_floats(clf.mean2)}",
         f"spectrum={_fmt_floats(clf.spectrum)}",
-        f"P1={_fmt_floats(clf.proj1.matrix)}",
+        f"rank1={k}",
+        f"{key}={_fmt_floats(smaller.basis)}",
     ]
     return "\n".join(lines) + "\n"
 
 
-def parse_model(text: str) -> EnergyClassifier:
+def _model_fields(text: str) -> tuple[str, dict[str, str]]:
+    """The format version and the key=value fields of a model text, with
+    the set of keys checked against that version."""
     fields: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -351,12 +382,33 @@ def parse_model(text: str) -> EnergyClassifier:
         key, sep, value = line.partition("=")
         if not sep or key not in _MODEL_KEYS:
             raise ParseError(f"unexpected model line {raw!r}", lineno)
+        if key in fields:
+            raise ParseError(f"repeated model field {key!r}", lineno)
         fields[key] = value
-    missing = [k for k in _MODEL_KEYS if k not in fields]
+        linenos[key] = lineno
+    version = fields.get("format_version")
+    if version is None:
+        raise ParseError("model file is missing its format_version field")
+    if version not in _VERSION_KEYS:
+        raise ParseError(f"unsupported format_version {version!r}")
+    own = _VERSION_KEYS[version]
+    for key, lineno in linenos.items():
+        if key not in _HEADER_KEYS and key not in own:
+            raise ParseError(f"field {key!r} is not part of format_version {version}", lineno)
+    required = _HEADER_KEYS + (("P1",) if version == "1" else ("rank1",))
+    missing = [k for k in required if k not in fields]
+    if version == "2" and "U1" not in fields and "U2" not in fields:
+        missing.append("U1 or U2")
     if missing:
         raise ParseError(f"model file is missing fields: {', '.join(missing)}")
-    if fields["format_version"] != "1":
-        raise ParseError(f"unsupported format_version {fields['format_version']!r}")
+    if "U1" in fields and "U2" in fields:
+        raise ParseError("model holds both U1 and U2", max(linenos["U1"], linenos["U2"]))
+    return version, fields
+
+
+def parse_model(text: str) -> EnergyClassifier:
+    version, fields = _model_fields(text)
+    basis_key = "U1" if "U1" in fields else "U2"
     try:
         n = int(fields["n"])
         mode = NormalizationMode(fields["mode"])
@@ -367,14 +419,28 @@ def parse_model(text: str) -> EnergyClassifier:
         mean1 = _parse_floats(fields["m1"])
         mean2 = _parse_floats(fields["m2"])
         spectrum = _parse_floats(fields["spectrum"])
-        p1_entries = _parse_floats(fields["P1"])
+        if version == "1":
+            entries = _parse_floats(fields["P1"])
+        else:
+            entries = _parse_floats(fields[basis_key]) if fields[basis_key] else np.empty(0)
     except ValueError as exc:
         raise ParseError(f"bad model field: {exc}") from exc
     if n < 1 or mean1.shape != (n,) or mean2.shape != (n,) or spectrum.shape != (n,):
         raise ParseError("model field lengths do not match n")
-    if p1_entries.shape != (n * n,):
-        raise ParseError("P1 must hold n*n row-major entries")
-    numbers = (prior1, prior2, tr_k1, tr_k2, mean1, mean2, spectrum, p1_entries)
+    if version == "1":
+        if entries.shape != (n * n,):
+            raise ParseError("P1 must hold n*n row-major entries")
+    else:
+        rank1 = int(fields["rank1"]) if fields["rank1"].isdecimal() else -1
+        if not 0 <= rank1 <= n:
+            raise ParseError(f"rank1={fields['rank1']} must be an integer in [0, n={n}]")
+        cols = min(rank1, n - rank1)
+        if basis_key != ("U1" if rank1 <= n - rank1 else "U2"):
+            raise ParseError(f"rank1={rank1} with n={n} needs the smaller basis, "
+                             f"not {basis_key}")
+        if entries.shape != (n * cols,):
+            raise ParseError(f"{basis_key} must hold n*{cols} row-major entries")
+    numbers = (prior1, prior2, tr_k1, tr_k2, mean1, mean2, spectrum, entries)
     if not all(np.all(np.isfinite(v)) for v in numbers):
         raise ParseError("model fields must be finite numbers")
     if not (0.0 < prior1 < 1.0 and 0.0 < prior2 < 1.0
@@ -382,8 +448,11 @@ def parse_model(text: str) -> EnergyClassifier:
         raise ParseError(f"priors {prior1}, {prior2} must lie in (0,1) and sum to 1")
     if mode is NormalizationMode.TRACE and not (tr_k1 > 0.0 and tr_k2 > 0.0):
         raise ParseError(f"trace mode needs positive trK1, trK2, got {tr_k1}, {tr_k2}")
-    p1_matrix = p1_entries.reshape(n, n)
-    proj1, proj2 = _projector_pair(p1_matrix, int(round(float(np.trace(p1_matrix)))))
+    if version == "1":
+        p1_matrix = entries.reshape(n, n)
+        proj1, proj2 = _projector_pair(p1_matrix, int(round(float(np.trace(p1_matrix)))))
+    else:
+        proj1, proj2 = _pair_from_smaller_basis(entries.reshape(n, cols), rank1)
     return EnergyClassifier(
         dim=n,
         mode=mode,

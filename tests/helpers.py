@@ -13,6 +13,12 @@ package's former connectives, which worked on n-by-n matrices: meet and
 join from the eigenvalue-2 and nonzero eigenspaces of P + Q, the order
 from the smallest eigenvalue of Q - P, all with the same 1e-8 cutoff.
 The package now computes them from the orthonormal bases.
+
+`format_model_v1` and `format_model_v2` write model text with every
+float formatted on its own. Version 1, which stores the n-by-n P1, is no
+longer written by the package but is still read. `matrix_discriminants`
+and `matrix_energy_r` are the package's former scoring and energy
+bookkeeping, which worked on the n-by-n projectors.
 """
 
 import os
@@ -167,3 +173,61 @@ def eigh_leq(p: Projector, q: Projector) -> bool:
     _check_same_dim(p, q)
     smallest = sym_eig(sym_matrix(q.matrix - p.matrix)).eigenvalues[-1]
     return bool(smallest >= -_EIG_ATOL)
+
+
+def _entries(values) -> str:
+    return ",".join("%.17g" % v for v in np.asarray(values, dtype=float).ravel())
+
+
+def _header_fields(clf, version):
+    return [("format_version", str(version)), ("n", str(clf.dim)), ("mode", clf.mode.value),
+            ("p1", "%.17g" % clf.prior1), ("p2", "%.17g" % clf.prior2),
+            ("trK1", "%.17g" % clf.tr_k1), ("trK2", "%.17g" % clf.tr_k2),
+            ("m1", _entries(clf.mean1)), ("m2", _entries(clf.mean2)),
+            ("spectrum", _entries(clf.spectrum))]
+
+
+def format_model_v1(clf) -> str:
+    """Version-1 model text: the header, then P1 as n*n row-major entries."""
+    fields = _header_fields(clf, 1) + [("P1", _entries(clf.proj1.matrix))]
+    return "".join(f"{key}={value}\n" for key, value in fields)
+
+
+def format_model_v2(clf) -> str:
+    """Version-2 model text: the header, rank1 = k, then U1 (n-by-k) if
+    k <= n - k, else U2 (n-by-(n-k)), row-major."""
+    n, k = clf.dim, clf.proj1.rank
+    key, proj = ("U1", clf.proj1) if k <= n - k else ("U2", clf.proj2)
+    fields = _header_fields(clf, 2) + [("rank1", str(k)), (key, _entries(proj.basis))]
+    return "".join(f"{key}={value}\n" for key, value in fields)
+
+
+def matrix_discriminants(clf, x):
+    """(g_1, g_2) as row sums of (x P_i) * x with the n-by-n projectors."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    mode = clf.mode.value
+    if mode == "unit":
+        x = x / np.linalg.norm(x, axis=1)[:, None]
+    x1 = x - clf.mean1 if mode == "centered" else x
+    x2 = x - clf.mean2 if mode == "centered" else x
+    g1 = np.einsum("ij,ij->i", x1 @ clf.proj1.matrix, x1)
+    g2 = np.einsum("ij,ij->i", x2 @ clf.proj2.matrix, x2)
+    if mode == "trace":
+        g1, g2 = g1 / clf.tr_k1, g2 / clf.tr_k2
+    return g1, g2
+
+
+def matrix_energy_r(clf, class1, class2):
+    """r[j, i] = p_j tr(P_i M_j) from the n-by-n projectors, with M_j the
+    operator of the model's mode."""
+    def operator(moments):
+        if clf.mode.value == "centered":
+            return moments.covariance
+        k = moments.correlation
+        return k / np.trace(k) if clf.mode.value == "trace" else k
+
+    ops = (operator(class1.moments), operator(class2.moments))
+    priors = (class1.prior, class2.prior)
+    projs = (clf.proj1.matrix, clf.proj2.matrix)
+    return np.array([[priors[j] * np.trace(projs[i] @ ops[j]) for i in range(2)]
+                     for j in range(2)])

@@ -6,6 +6,7 @@ from energydisc import (
     DimensionMismatch,
     EmptyClass,
     EnergyClassifier,
+    InvalidMatrix,
     InvalidParameter,
     LabeledDataset,
     NormalizationMode,
@@ -30,7 +31,15 @@ from energydisc import (
     unit_normalized,
     zero_projector,
 )
-from helpers import max_abs, random_projector, random_psd
+from helpers import (
+    format_model_v1,
+    format_model_v2,
+    matrix_discriminants,
+    matrix_energy_r,
+    max_abs,
+    random_projector,
+    random_psd,
+)
 
 
 def gaussian_pair():
@@ -288,6 +297,33 @@ def test_energy_conservation_random_pairs():
         assert report.enr_correct >= alt.enr_correct - 1e-9
 
 
+@pytest.mark.parametrize("mode", list(NormalizationMode))
+def test_energy_report_matches_projector_matrix_traces(mode):
+    # each entry from its own basis agrees with p_j tr(P_i M_j) on the
+    # n-by-n projectors, also for ranks 0 and n and for a sampled n=64 fit
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        cases.append((float(rng.uniform(0.05, 0.95)), *(analytic_moments(
+            rng.standard_normal(n), random_psd(rng, n, scale=rng.uniform(0.5, 3.0)))
+            for _ in range(2))))
+    m = analytic_moments([1.0, 2.0], np.eye(2))
+    cases.append((0.5, m, m))
+    cases.append((0.5, analytic_moments([1.0, 2.0], 4.0 * np.eye(2)), m))
+    data = gen_example2(64, np.linspace(-1.0, 1.0, 64), 1.0, per_class=300, seed=43)
+    if mode is NormalizationMode.UNIT:
+        data = unit_normalized(data)
+    cases.append((0.4, estimate_moments(data.class_features(1)),
+                  estimate_moments(data.class_features(2))))
+    for prior, m1, m2 in cases:
+        c1, c2 = ClassSpec(prior, m1), ClassSpec(1.0 - prior, m2)
+        clf = fit(c1, c2, mode)
+        report = energy_report(clf, c1, c2)
+        np.testing.assert_allclose(report.r, matrix_energy_r(clf, c1, c2),
+                                   rtol=1e-12, atol=1e-12 * abs(report.total))
+
+
 def test_noise_pair_error_energy_closed_form():
     n, sigma2 = 2, 1.0
     a = np.array([2.0, 0.0])
@@ -395,36 +431,86 @@ def test_model_file_round_trip(tmp_path):
     assert path.read_bytes() == (tmp_path / "again.txt").read_bytes()
 
 
-def _per_entry_model_text(clf):
-    """Model text with every float formatted on its own, entry by entry."""
-    def floats(values):
-        return ",".join("%.17g" % v for v in np.asarray(values, dtype=float).ravel())
-
-    fields = [("format_version", "1"), ("n", str(clf.dim)), ("mode", clf.mode.value),
-              ("p1", "%.17g" % clf.prior1), ("p2", "%.17g" % clf.prior2),
-              ("trK1", "%.17g" % clf.tr_k1), ("trK2", "%.17g" % clf.tr_k2),
-              ("m1", floats(clf.mean1)), ("m2", floats(clf.mean2)),
-              ("spectrum", floats(clf.spectrum)), ("P1", floats(clf.proj1.matrix))]
-    return "".join(f"{key}={value}\n" for key, value in fields)
-
-
-@pytest.mark.parametrize("mode", list(NormalizationMode))
-@pytest.mark.parametrize("n", [1, 3, 64])
-def test_format_model_matches_per_entry_format(n, mode):
+def _sampled_fit(n, mode):
     rng = np.random.default_rng(n)
     data = gen_example2(n, rng.standard_normal(n), 0.7, per_class=200, seed=n)
     if mode is NormalizationMode.UNIT:
         data = unit_normalized(data)
     clf = fit(ClassSpec(0.45, estimate_moments(data.class_features(1))),
               ClassSpec(0.55, estimate_moments(data.class_features(2))), mode)
+    return clf, data.features
+
+
+@pytest.mark.parametrize("mode", list(NormalizationMode))
+@pytest.mark.parametrize("n", [1, 3, 64])
+def test_format_model_matches_per_entry_format(n, mode):
+    clf, _ = _sampled_fit(n, mode)
     text = format_model(clf)
-    assert text == _per_entry_model_text(clf)
+    assert text == format_model_v2(clf)
     assert format_model(parse_model(text)) == text
+
+
+@pytest.mark.parametrize("mode", list(NormalizationMode))
+@pytest.mark.parametrize("n", [1, 3, 64])
+def test_v1_model_still_loads(n, mode):
+    # a version-1 file keeps its P1 bit for bit, is scored on the bases
+    # it loads to, and labels every row as the former scoring on its
+    # n-by-n projectors did
+    clf, x = _sampled_fit(n, mode)
+    text = format_model_v1(clf)
+    back = parse_model(text)
+    assert format_model_v1(back) == text
+    g1, g2 = matrix_discriminants(back, x)
+    np.testing.assert_array_equal(decide_batch(back, x), np.where(g1 > g2, 1, 2))
+
+
+@pytest.mark.parametrize("mode", list(NormalizationMode))
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_model_round_trip_is_bit_exact(n, mode):
+    rng = np.random.default_rng(100 + n)
+    for prior in (0.2, 0.5, 0.8):
+        m1, m2 = (analytic_moments(rng.standard_normal(n),
+                                   random_psd(rng, n, scale=rng.uniform(0.5, 2.0)))
+                  for _ in range(2))
+        clf = fit(ClassSpec(prior, m1), ClassSpec(1.0 - prior, m2), mode)
+        text = format_model(clf)
+        back = parse_model(text)
+        assert format_model(back) == text
+        for got, want in ((back.proj1, clf.proj1), (back.proj2, clf.proj2)):
+            np.testing.assert_array_equal(got.basis, want.basis)
+            np.testing.assert_array_equal(got.matrix, want.matrix)
+        np.testing.assert_array_equal(back.spectrum, clf.spectrum)
+        np.testing.assert_array_equal(back.mean1, clf.mean1)
+        np.testing.assert_array_equal(back.mean2, clf.mean2)
+
+
+def _moments_pair(scale1, scale2, n):
+    return (ClassSpec(0.5, analytic_moments(np.zeros(n), scale1 * np.eye(n))),
+            ClassSpec(0.5, analytic_moments(np.zeros(n), scale2 * np.eye(n))))
+
+
+@pytest.mark.parametrize("pair, rank1, field", [
+    (_moments_pair(1.0, 1.0, 3), 0, "U1="),  # k = 0
+    (_moments_pair(2.0, 1.0, 3), 3, "U2="),  # k = n
+    (gaussian_pair(), 1, "U1=1,0"),  # the tie k = n - k
+    (_moments_pair(2.0, 1.0, 1), 1, "U2="),  # n = 1
+    (_moments_pair(1.0, 2.0, 1), 0, "U1="),
+])
+def test_model_v2_edge_ranks(pair, rank1, field):
+    clf = fit(*pair)
+    assert clf.proj1.rank == rank1
+    text = format_model(clf)
+    assert text.endswith(f"\nrank1={rank1}\n{field}\n")
+    back = parse_model(text)
+    assert format_model(back) == text
+    assert (back.proj1.rank, back.proj2.rank) == (rank1, clf.dim - rank1)
+    np.testing.assert_array_equal(back.proj1.matrix, clf.proj1.matrix)
+    np.testing.assert_array_equal(back.proj2.matrix, clf.proj2.matrix)
 
 
 def test_parse_model_rejects_garbage():
     clf = fit(*gaussian_pair())
-    text = format_model(clf)
+    text = format_model_v1(clf)
     with pytest.raises(ParseError):
         parse_model(text + "mystery=1\n")
     with pytest.raises(ParseError):
@@ -435,6 +521,31 @@ def test_parse_model_rejects_garbage():
         parse_model(text.replace("p1=", "p1=abc;"))
 
 
+def test_parse_model_v2_rejects_garbage():
+    clf = fit(*gaussian_pair())
+    text = format_model(clf)
+    with pytest.raises(ParseError):
+        parse_model(text + "mystery=1\n")
+    with pytest.raises(ParseError):
+        parse_model(text.replace("format_version=2", "format_version=3"))
+    with pytest.raises(ParseError):
+        parse_model(text.replace("format_version=2", "format_version=1"))
+    with pytest.raises(ParseError):
+        parse_model("\n".join(text.splitlines()[1:]))  # header dropped
+    with pytest.raises(ParseError):
+        parse_model(text.replace("p1=", "p1=abc;"))
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_parse_model_rejects_repeated_field(version):
+    clf = fit(*gaussian_pair())
+    text = format_model_v1(clf) if version == 1 else format_model(clf)
+    assert "mode=raw\n" in text
+    with pytest.raises(ParseError) as info:
+        parse_model(text + "mode=centered\n")
+    assert info.value.line == len(text.splitlines()) + 1
+
+
 def _replace_field(text, key, value):
     return "".join(f"{key}={value}\n" if ln.startswith(f"{key}=") else ln + "\n"
                    for ln in text.splitlines())
@@ -443,6 +554,14 @@ def _replace_field(text, key, value):
 @pytest.mark.parametrize("key, value", [("P1", "nan,0,0,0"), ("m1", "inf,0"),
                                         ("trK2", "nan"), ("spectrum", "2,-inf")])
 def test_parse_model_rejects_nonfinite_fields(key, value):
+    text = format_model_v1(fit(*gaussian_pair()))
+    with pytest.raises(ParseError):
+        parse_model(_replace_field(text, key, value))
+
+
+@pytest.mark.parametrize("key, value", [("U1", "nan,0"), ("m1", "inf,0"),
+                                        ("trK2", "nan"), ("spectrum", "2,-inf")])
+def test_parse_model_v2_rejects_nonfinite_fields(key, value):
     text = format_model(fit(*gaussian_pair()))
     with pytest.raises(ParseError):
         parse_model(_replace_field(text, key, value))
@@ -451,6 +570,16 @@ def test_parse_model_rejects_nonfinite_fields(key, value):
 @pytest.mark.parametrize("key", ["m1", "m2", "spectrum", "P1"])
 @pytest.mark.parametrize("entry", ["abc", "", "1.5.2"])
 def test_parse_model_rejects_bad_vector_entry(key, entry):
+    text = format_model_v1(fit(*gaussian_pair()))
+    value = text.split(f"\n{key}=", 1)[1].split("\n", 1)[0].split(",")
+    value[-1] = entry
+    with pytest.raises(ParseError, match="bad model field: could not convert"):
+        parse_model(_replace_field(text, key, ",".join(value)))
+
+
+@pytest.mark.parametrize("key", ["m1", "m2", "spectrum", "U1"])
+@pytest.mark.parametrize("entry", ["abc", "", "1.5.2"])
+def test_parse_model_v2_rejects_bad_vector_entry(key, entry):
     text = format_model(fit(*gaussian_pair()))
     value = text.split(f"\n{key}=", 1)[1].split("\n", 1)[0].split(",")
     value[-1] = entry
@@ -460,22 +589,86 @@ def test_parse_model_rejects_bad_vector_entry(key, entry):
 
 @pytest.mark.parametrize("tr_k1, tr_k2", [("0", "2"), ("2", "-1"), ("-0.5", "-0.5")])
 def test_parse_model_rejects_nonpositive_traces_in_trace_mode(tr_k1, tr_k2):
-    text = format_model(fit(*gaussian_pair(), NormalizationMode.TRACE))
-    text = _replace_field(_replace_field(text, "trK1", tr_k1), "trK2", tr_k2)
-    with pytest.raises(ParseError, match="trace mode"):
-        parse_model(text)
+    clf = fit(*gaussian_pair(), NormalizationMode.TRACE)
+    for text in (format_model(clf), format_model_v1(clf)):
+        text = _replace_field(_replace_field(text, "trK1", tr_k1), "trK2", tr_k2)
+        with pytest.raises(ParseError, match="trace mode"):
+            parse_model(text)
 
 
 @pytest.mark.parametrize("p1, p2", [("7", "-6"), ("0", "1"), ("0.3", "0.3")])
 def test_parse_model_rejects_bad_priors(p1, p2):
-    text = format_model(fit(*gaussian_pair()))
-    with pytest.raises(ParseError):
-        parse_model(_replace_field(_replace_field(text, "p1", p1), "p2", p2))
+    clf = fit(*gaussian_pair())
+    for text in (format_model(clf), format_model_v1(clf)):
+        with pytest.raises(ParseError):
+            parse_model(_replace_field(_replace_field(text, "p1", p1), "p2", p2))
 
 
 def test_parse_model_checks_entry_counts():
     clf = fit(*gaussian_pair())
-    lines = format_model(clf).splitlines()
-    lines = [ln if not ln.startswith("spectrum=") else "spectrum=1" for ln in lines]
-    with pytest.raises(ParseError):
-        parse_model("\n".join(lines) + "\n")
+    for text in (format_model(clf), format_model_v1(clf)):
+        lines = text.splitlines()
+        lines = [ln if not ln.startswith("spectrum=") else "spectrum=1" for ln in lines]
+        with pytest.raises(ParseError):
+            parse_model("\n".join(lines) + "\n")
+
+
+def _random_v2_text():
+    """Model text with n = 5 and rank1 = 2, so U1 holds 10 entries."""
+    q = np.linalg.qr(np.random.default_rng(47).standard_normal((5, 5)))[0]
+    k1 = q @ np.diag([2.0, 2.0, 0.5, 0.5, 0.5]) @ q.T
+    clf = fit(ClassSpec(0.5, analytic_moments(np.zeros(5), k1)),
+              ClassSpec(0.5, analytic_moments(np.zeros(5), np.eye(5))))
+    assert clf.proj1.rank == 2
+    return format_model(clf)
+
+
+def _basis_entries(text, key="U1"):
+    return np.array([float(v) for v in
+                     text.split(f"\n{key}=", 1)[1].split("\n", 1)[0].split(",")])
+
+
+def test_parse_model_v2_rejects_bad_basis():
+    text = _random_v2_text()
+    entries = _basis_entries(text)
+    assert entries.size == 5 * 2
+    bad = entries.copy()
+    bad[3] = np.nan
+    with pytest.raises(ParseError, match="finite"):
+        parse_model(_replace_field(text, "U1", ",".join("%.17g" % v for v in bad)))
+    scaled = ",".join("%.17g" % v for v in entries * (1.0 + 1e-6))
+    with pytest.raises(InvalidMatrix, match="orthonormal"):
+        parse_model(_replace_field(text, "U1", scaled))
+    for count in (9, 11, 0):
+        short = ",".join("%.17g" % v for v in np.resize(entries, count))
+        with pytest.raises(ParseError, match="entries"):
+            parse_model(_replace_field(text, "U1", short))
+
+
+@pytest.mark.parametrize("rank1", ["1.5", "-1", "6", ""])
+def test_parse_model_v2_rejects_bad_rank1(rank1):
+    with pytest.raises(ParseError, match="rank1"):
+        parse_model(_replace_field(_random_v2_text(), "rank1", rank1))
+
+
+def test_parse_model_v2_needs_exactly_the_smaller_basis():
+    text = _random_v2_text()
+    lines = text.splitlines()
+    with pytest.raises(ParseError, match="missing fields: U1 or U2"):
+        parse_model("\n".join(ln for ln in lines if not ln.startswith("U1=")) + "\n")
+    u2 = "U2=" + ",".join(["0"] * 15)
+    with pytest.raises(ParseError, match="both U1 and U2") as info:
+        parse_model(text + u2 + "\n")
+    assert info.value.line == len(lines) + 1
+    # rank1 = 2 of 5 must store U1; the same entries under U2 are refused
+    with pytest.raises(ParseError, match="smaller basis"):
+        parse_model(text.replace("\nU1=", "\nU2="))
+
+
+def test_parse_model_rejects_fields_of_the_other_version():
+    clf = fit(*gaussian_pair())
+    v1, v2 = format_model_v1(clf), format_model(clf)
+    with pytest.raises(ParseError, match="not part of format_version 2"):
+        parse_model(v2 + "P1=1,0,0,0\n")
+    with pytest.raises(ParseError, match="not part of format_version 1"):
+        parse_model(v1 + "rank1=1\n")

@@ -9,7 +9,7 @@ import pytest
 
 from energydisc import load_csv, load_model
 from energydisc.cli import run
-from helpers import subprocess_env
+from helpers import format_model_v1, subprocess_env
 
 
 def run_cli(capsys, *argv):
@@ -238,11 +238,16 @@ def test_missing_files_exit_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-def test_predict_on_nan_model_exits_2(capsys, tmp_path):
+def _predict_on_nan_model(capsys, tmp_path, version):
     data = gen_data(capsys, tmp_path)
     model_path = fit_model(capsys, tmp_path, data)
-    lines = model_path.read_text(encoding="utf-8").splitlines()
-    lines = ["P1=nan," + ln.split(",", 1)[1] if ln.startswith("P1=") else ln
+    text = model_path.read_text(encoding="utf-8")
+    if version == 1:
+        text = format_model_v1(load_model(model_path))
+    lines = text.splitlines()
+    keys = {"P1="} if version == 1 else {"U1=", "U2="}
+    assert sum(ln[:3] in keys and "," in ln for ln in lines) == 1
+    lines = [ln[:3] + "nan," + ln.split(",", 1)[1] if ln[:3] in keys else ln
              for ln in lines]
     model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "predict", "--model", str(model_path),
@@ -251,6 +256,14 @@ def test_predict_on_nan_model_exits_2(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_predict_on_nan_model_exits_2(capsys, tmp_path):
+    _predict_on_nan_model(capsys, tmp_path, version=1)
+
+
+def test_predict_on_nan_v2_model_exits_2(capsys, tmp_path):
+    _predict_on_nan_model(capsys, tmp_path, version=2)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
