@@ -30,17 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import _FLOAT_FMT, LabeledDataset, _first_nonfinite_row, _first_zero_norm
-from .errors import (
-    DegenerateTrace,
-    DimensionMismatch,
-    EmptyClass,
-    InvalidParameter,
-    ParseError,
-    ZeroSignal,
-)
+from .datasets import (_FLOAT_FMT, LabeledDataset, _class_rows, _first_nonfinite_row,
+                       _parse_floats, _unit_rows)
+from .errors import DegenerateTrace, DimensionMismatch, InvalidParameter, ParseError
 from .moments import MomentSummary
-from .spectral import Projector, _projector_pair, complement, sym_eig, sym_matrix
+from .spectral import Projector, complement, sym_eig, sym_matrix
 
 
 class NormalizationMode(enum.Enum):
@@ -132,6 +126,12 @@ def _pair_from_smaller_basis(basis: np.ndarray, rank1: int) -> tuple[Projector, 
     return complement(small), small
 
 
+def _positive_rank(spectrum: np.ndarray) -> int:
+    """rank(P_1): the count of eigenvalues above eps = 1e-10 * max(1, |lambda|_max)."""
+    eps = 1e-10 * max(1.0, float(np.max(np.abs(spectrum), initial=0.0)))
+    return int(np.count_nonzero(spectrum > eps))
+
+
 def fit(
     class1: ClassSpec, class2: ClassSpec, mode: NormalizationMode = NormalizationMode.RAW
 ) -> EnergyClassifier:
@@ -151,8 +151,7 @@ def fit(
     m2 = _mode_matrix(class2.moments, mode)
     diff = sym_matrix(class1.prior * m1 - class2.prior * m2)
     values, vectors = sym_eig(diff)
-    eps = 1e-10 * max(1.0, float(np.max(np.abs(values), initial=0.0)))
-    k = int(np.count_nonzero(values > eps))  # values descend: U_1 is the first k columns
+    k = _positive_rank(values)  # values descend: U_1 is the first k columns
     smaller = vectors[:, :k] if k <= n - k else vectors[:, k:]
     proj1, proj2 = _pair_from_smaller_basis(smaller, k)
     return EnergyClassifier(
@@ -191,11 +190,7 @@ def discriminants(clf: EnergyClassifier, x: np.ndarray) -> tuple[np.ndarray, np.
         raise InvalidParameter(f"non-finite value at row {bad + 1}")
     mode = clf.mode
     if mode is NormalizationMode.UNIT:
-        norms = np.linalg.norm(x, axis=1)
-        bad = _first_zero_norm(norms)
-        if bad is not None:
-            raise ZeroSignal(f"cannot unit-normalize zero vector at row {bad + 1}")
-        x = x / norms[:, None]
+        x = _unit_rows(x)
     if mode is NormalizationMode.CENTERED:
         g1 = _energies(x - clf.mean1, clf.proj1.basis)
         g2 = _energies(x - clf.mean2, clf.proj2.basis)
@@ -246,13 +241,6 @@ def energy_report(clf: EnergyClassifier, class1: ClassSpec, class2: ClassSpec) -
         enr_error=float(r[0, 1] + r[1, 0]),
         total=total,
     )
-
-
-def _class_rows(data: LabeledDataset, label: int) -> np.ndarray:
-    rows = data.features[data.labels == label]
-    if rows.shape[0] == 0:
-        raise EmptyClass(f"no samples with label {label}")
-    return rows
 
 
 def empirical_quality(
@@ -329,9 +317,10 @@ def snr(a, sigma2: float, n: int | None = None) -> float:
 # then `U1=` (the n-by-k basis of P_1, row-major) if k <= n - k, else
 # `U2=` (the n-by-(n-k) basis of P_2), empty when k is 0 or n; the other
 # side is rebuilt as its complement, as `fit` builds it. Version 1 stores
-# the n-by-n matrix P1 and is still read: P2 = I - P1 and both bases come
-# from one eigendecomposition of P1. All floats are written with 17
-# significant digits so a save/load round trip is bit-exact and
+# the n-by-n matrix P1 and is still read as `Projector(P1, rank)`, with
+# P2 its complement. Either way the stored spectrum must descend and hold
+# exactly rank(P1) eigenvalues above fit's eps. All floats are written
+# with 17 significant digits so a save/load round trip is bit-exact and
 # decisions are reproducible.
 
 _HEADER_KEYS = ("format_version", "n", "mode", "p1", "p2", "trK1", "trK2",
@@ -343,11 +332,6 @@ _MODEL_KEYS = _HEADER_KEYS + _VERSION_KEYS["1"] + _VERSION_KEYS["2"]
 def _fmt_floats(values: np.ndarray) -> str:
     flat = np.asarray(values, dtype=float).ravel().tolist()
     return ",".join([_FLOAT_FMT] * len(flat)) % tuple(flat)
-
-
-def _parse_floats(text: str) -> np.ndarray:
-    """Comma-separated floats as a 1-d array; ValueError names a bad entry."""
-    return np.array(list(map(float, text.split(","))))
 
 
 def format_model(clf: EnergyClassifier) -> str:
@@ -450,9 +434,13 @@ def parse_model(text: str) -> EnergyClassifier:
         raise ParseError(f"trace mode needs positive trK1, trK2, got {tr_k1}, {tr_k2}")
     if version == "1":
         p1_matrix = entries.reshape(n, n)
-        proj1, proj2 = _projector_pair(p1_matrix, int(round(float(np.trace(p1_matrix)))))
+        proj1 = Projector(p1_matrix, int(round(float(np.trace(p1_matrix)))))
+        proj2 = complement(proj1)
     else:
         proj1, proj2 = _pair_from_smaller_basis(entries.reshape(n, cols), rank1)
+    if np.any(np.diff(spectrum) > 0.0) or _positive_rank(spectrum) != proj1.rank:
+        raise ParseError(f"spectrum must not increase and must hold rank(P1)={proj1.rank} "
+                         "eigenvalues above eps")
     return EnergyClassifier(
         dim=n,
         mode=mode,

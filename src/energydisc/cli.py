@@ -15,8 +15,9 @@ import numpy as np
 
 from . import classifier as clf_mod
 from . import datasets as ds_mod
-from .datasets import _FLOAT_FMT, _first_zero_norm, _read_lines, _row_line
-from .errors import EmptyClass, EnergydiscError
+from .datasets import (_FLOAT_FMT, _class_rows, _first_zero_norm, _parse_floats,
+                       _read_lines, _row_line)
+from .errors import EnergydiscError
 from .moments import estimate_moments
 from .spectral import sym_matrix
 
@@ -46,15 +47,14 @@ def _count_arg(text: str) -> int:
 
 def _vector_arg(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        return _parse_floats(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated vector: {text!r}")
 
 
 def _matrix_arg(text: str) -> np.ndarray:
     try:
-        rows = [[float(v) for v in row.split(",")] for row in text.split(";")]
-        return np.array(rows)
+        return np.array([_parse_floats(row) for row in text.split(";")])
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a ';'-separated matrix: {text!r}")
 
@@ -67,10 +67,11 @@ def _build_parser() -> _Parser:
     g1.add_argument("--n", type=int, required=True)
     g1.add_argument("--m1", type=_vector_arg, required=True)
     g1.add_argument("--m2", type=_vector_arg, required=True)
-    g1.add_argument("--sigma2", type=float, default=1.0,
-                    help="isotropic covariance sigma2*I (default 1.0)")
-    g1.add_argument("--cov", type=_matrix_arg, default=None,
-                    help="full covariance, rows separated by ';' (overrides --sigma2)")
+    cov = g1.add_mutually_exclusive_group()
+    cov.add_argument("--sigma2", type=float, default=1.0,
+                     help="isotropic covariance sigma2*I (default 1.0)")
+    cov.add_argument("--cov", type=_matrix_arg, default=None,
+                     help="full covariance, rows separated by ';'")
     g1.add_argument("--per-class", type=_count_arg, required=True)
     g1.add_argument("--seed", type=_count_arg, required=True)
     g1.add_argument("--out", required=True)
@@ -87,10 +88,11 @@ def _build_parser() -> _Parser:
     fit_p.add_argument("--data", required=True)
     fit_p.add_argument("--mode", choices=[m.value for m in clf_mod.NormalizationMode],
                        default="raw")
-    fit_p.add_argument("--p1", type=float, default=0.5,
-                       help="prior of class 1 (class 2 gets 1-p1)")
-    fit_p.add_argument("--priors-from-data", action="store_true",
-                       help="estimate priors from class frequencies instead of --p1")
+    priors = fit_p.add_mutually_exclusive_group()
+    priors.add_argument("--p1", type=float, default=0.5,
+                        help="prior of class 1 (class 2 gets 1-p1)")
+    priors.add_argument("--priors-from-data", action="store_true",
+                        help="estimate priors from class frequencies instead of --p1")
     fit_p.add_argument("--out", required=True)
 
     pred = sub.add_parser("predict", help="print one class label per data row")
@@ -124,25 +126,20 @@ def _cmd_gen_example2(args) -> int:
     return 0
 
 
-def _split_moments(data: ds_mod.LabeledDataset):
-    rows1 = data.class_features(1)
-    rows2 = data.class_features(2)
-    if rows1.shape[0] == 0 or rows2.shape[0] == 0:
-        raise EmptyClass("fitting needs samples from both classes")
-    return estimate_moments(rows1), estimate_moments(rows2)
+def _class_moments(data: ds_mod.LabeledDataset, mode):
+    """Moments of class 1 and class 2, from unit-normalized rows in unit
+    mode; EmptyClass names a label without rows."""
+    if mode is clf_mod.NormalizationMode.UNIT:
+        data = ds_mod.unit_normalized(data)
+    return tuple(estimate_moments(_class_rows(data, label)) for label in (1, 2))
 
 
 def _cmd_fit(args) -> int:
     mode = clf_mod.NormalizationMode(args.mode)
     data = ds_mod.load_csv(args.data)
     _check_unit_rows(mode, data, args.data)
-    if mode is clf_mod.NormalizationMode.UNIT:
-        data = ds_mod.unit_normalized(data)
-    if args.priors_from_data:
-        p1 = float(np.count_nonzero(data.labels == 1)) / len(data)
-    else:
-        p1 = args.p1
-    mom1, mom2 = _split_moments(data)
+    mom1, mom2 = _class_moments(data, mode)
+    p1 = mom1.count / len(data) if args.priors_from_data else args.p1
     model = clf_mod.fit(clf_mod.ClassSpec(p1, mom1), clf_mod.ClassSpec(1.0 - p1, mom2), mode)
     clf_mod.save_model(model, args.out)
     print(f"wrote {args.out}")
@@ -177,10 +174,7 @@ def _cmd_eval(args) -> int:
     model = clf_mod.load_model(args.model)
     data = ds_mod.load_csv(args.data)
     _check_unit_rows(model.mode, data, args.data)
-    moment_data = data
-    if model.mode is clf_mod.NormalizationMode.UNIT:
-        moment_data = ds_mod.unit_normalized(data)
-    mom1, mom2 = _split_moments(moment_data)
+    mom1, mom2 = _class_moments(data, model.mode)
     spec1 = clf_mod.ClassSpec(model.prior1, mom1)
     spec2 = clf_mod.ClassSpec(model.prior2, mom2)
     report = clf_mod.energy_report(model, spec1, spec2)

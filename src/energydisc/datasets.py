@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    EmptyClass,
     InvalidParameter,
     LabelError,
     ParseError,
@@ -35,6 +36,12 @@ from .spectral import sym_eig, sym_matrix
 # 17 significant digits, so values survive a text round trip exactly.
 _FLOAT_FMT = "%.17g"
 
+
+def _parse_floats(text: str) -> np.ndarray:
+    """Comma-separated floats as a 1-d array; ValueError names a bad entry."""
+    return np.array(list(map(float, text.split(","))))
+
+
 # A row whose Euclidean norm is at most this cannot be unit-normalized.
 _ZERO_NORM = 1e-12
 
@@ -43,6 +50,16 @@ def _first_zero_norm(norms: np.ndarray) -> int | None:
     """Index of the first row norm at most 1e-12, or None if there is none."""
     bad = np.nonzero(norms <= _ZERO_NORM)[0]
     return int(bad[0]) if bad.size else None
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """Every row of `x` rescaled to unit norm; ZeroSignal names the first
+    row too close to zero to rescale."""
+    norms = np.linalg.norm(x, axis=1)
+    bad = _first_zero_norm(norms)
+    if bad is not None:
+        raise ZeroSignal(f"cannot unit-normalize zero vector at row {bad + 1}")
+    return x / norms[:, None]
 
 
 def _first_nonfinite_row(x: np.ndarray) -> int | None:
@@ -83,6 +100,14 @@ class LabeledDataset:
 
     def class_features(self, label: int) -> np.ndarray:
         return self.features[self.labels == label]
+
+
+def _class_rows(data: LabeledDataset, label: int) -> np.ndarray:
+    """The rows of class `label`; EmptyClass if it has none."""
+    rows = data.class_features(label)
+    if rows.shape[0] == 0:
+        raise EmptyClass(f"no samples with label {label}")
+    return rows
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -151,11 +176,7 @@ def gen_example2(
 
 def unit_normalized(data: LabeledDataset) -> LabeledDataset:
     """Rescale every row to the unit sphere; zero rows are an error."""
-    norms = np.linalg.norm(data.features, axis=1)
-    bad = _first_zero_norm(norms)
-    if bad is not None:
-        raise ZeroSignal(f"cannot unit-normalize zero vector at row {bad + 1}")
-    return LabeledDataset(data.labels, data.features / norms[:, None])
+    return LabeledDataset(data.labels, _unit_rows(data.features))
 
 
 def save_csv(data: LabeledDataset, path) -> None:

@@ -74,9 +74,9 @@ def sym_eig(matrix: Iterable) -> EigenDecomposition:
     return EigenDecomposition(values, np.where(flip, -vectors, vectors))
 
 
-def _eigen_split(matrix: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the range and the kernel of an orthogonal
-    projection matrix, both taken from one `sym_eig`.
+def _eigen_split(matrix: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal basis of the range of an orthogonal projection matrix,
+    taken from its `sym_eig`.
 
     Raises:
         InvalidMatrix: the matrix is not symmetric and idempotent within
@@ -93,8 +93,7 @@ def _eigen_split(matrix: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]
     k = int(rank)
     if k != rank:
         raise InvalidMatrix(f"projector rank {rank} is not a whole number")
-    vectors = sym_eig(m).eigenvectors  # eigenvalue 1 first, then 0
-    return vectors[:, :k], vectors[:, k:]
+    return sym_eig(m).eigenvectors[:, :k]  # eigenvalue 1 first, then 0
 
 
 class Projector:
@@ -108,11 +107,11 @@ class Projector:
     """
 
     def __init__(self, matrix: np.ndarray, rank: int):
-        self._basis = _eigen_split(matrix, rank)[0]
+        self._basis = _eigen_split(matrix, rank)
         self._matrix = matrix
 
     @classmethod
-    def _from_basis(cls, basis: np.ndarray, matrix: np.ndarray | None = None) -> "Projector":
+    def _from_basis(cls, basis: np.ndarray) -> "Projector":
         """Projector onto the span of orthonormal columns (checked within 1e-9)."""
         gram = basis.T @ basis
         # written as not (err <= tol) so that NaN entries fail
@@ -120,7 +119,7 @@ class Projector:
             raise InvalidMatrix("projector basis is not orthonormal")
         p = cls.__new__(cls)
         p._basis = basis
-        p._matrix = matrix
+        p._matrix = None
         return p
 
     @property
@@ -145,13 +144,6 @@ class Projector:
 
     def __repr__(self) -> str:
         return f"Projector(dim={self.dim}, rank={self.rank})"
-
-
-def _projector_pair(matrix: np.ndarray, rank: int) -> tuple[Projector, Projector]:
-    """P (keeping `matrix`) and I - P, validated as `Projector(matrix,
-    rank)` is, from one eigendecomposition."""
-    range_basis, kernel_basis = _eigen_split(matrix, rank)
-    return Projector._from_basis(range_basis, matrix), Projector._from_basis(kernel_basis)
 
 
 def projector_from_basis(vectors: Sequence, dim: int | None = None) -> Projector:

@@ -672,3 +672,54 @@ def test_parse_model_rejects_fields_of_the_other_version():
         parse_model(v2 + "P1=1,0,0,0\n")
     with pytest.raises(ParseError, match="not part of format_version 1"):
         parse_model(v1 + "rank1=1\n")
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("spectrum", [
+    "-3,-7",  # no eigenvalue above eps, but P1 has rank 1
+    "-0.5,2",  # one above eps, but ascending
+    "2,0.5",  # one eigenvalue above eps too many
+])
+def test_parse_model_checks_spectrum_against_rank(version, spectrum):
+    clf = fit(*gaussian_pair())
+    text = format_model_v1(clf) if version == 1 else format_model(clf)
+    assert clf.proj1.rank == 1
+    with pytest.raises(ParseError, match="spectrum"):
+        parse_model(_replace_field(text, "spectrum", spectrum))
+
+
+def test_parse_model_spectrum_rank_uses_fit_eps():
+    # 1e-11 is below eps = 1e-10 * max(1, 2), so the rank stays 1
+    text = format_model(fit(*gaussian_pair()))
+    assert parse_model(_replace_field(text, "spectrum", "2,1e-11")).proj1.rank == 1
+    with pytest.raises(ParseError, match="spectrum"):
+        parse_model(_replace_field(text, "spectrum", "2,1e-9"))
+
+
+def test_v1_model_p2_is_the_complement_of_p1():
+    clf, _ = _sampled_fit(8, NormalizationMode.RAW)
+    back = parse_model(format_model_v1(clf))
+    np.testing.assert_array_equal(back.proj2.basis, complement(back.proj1).basis)
+
+
+def test_parse_model_v1_checks_p1_entry_count():
+    text = format_model_v1(fit(*gaussian_pair()))
+    for entries in ("1,0,0", "1,0,0,0,0"):
+        with pytest.raises(ParseError, match="P1 must hold n\\*n"):
+            parse_model(_replace_field(text, "P1", entries))
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_parse_model_skips_blank_lines(version):
+    write = format_model_v1 if version == 1 else format_model
+    text = write(fit(*gaussian_pair()))
+    assert write(parse_model("\n" + text.replace("\n", "\n\n  \n"))) == text
+
+
+def test_energy_report_rejects_moments_of_another_dimension():
+    clf = fit(*gaussian_pair())
+    c1, c2 = gaussian_pair()
+    c3 = ClassSpec(0.5, analytic_moments(np.zeros(3), np.eye(3)))
+    for pair in ((c3, c2), (c1, c3)):
+        with pytest.raises(DimensionMismatch, match="model dimension"):
+            energy_report(clf, *pair)

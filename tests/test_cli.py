@@ -7,7 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from energydisc import load_csv, load_model
+from energydisc import (
+    ClassSpec,
+    energy_report,
+    estimate_moments,
+    load_csv,
+    load_model,
+    unit_normalized,
+)
 from energydisc.cli import run
 from helpers import format_model_v1, subprocess_env
 
@@ -176,6 +183,66 @@ def test_eval_report(capsys, tmp_path):
     assert float(fields["sandwich_upper_slack"]) >= -1e-9
 
 
+def test_eval_unit_mode_uses_unit_normalized_moments(capsys, tmp_path):
+    data_path = gen_data(capsys, tmp_path, per_class=50)
+    model_path = fit_model(capsys, tmp_path, data_path, mode="unit")
+    code, out, err = run_cli(capsys, "eval", "--model", str(model_path),
+                             "--data", str(data_path))
+    assert code == 0, err
+    fields = dict(line.split("=", 1) for line in out.splitlines())
+    assert fields["mode"] == "unit"
+    model, data = load_model(model_path), load_csv(data_path)
+    priors = (model.prior1, model.prior2)
+
+    def report(rows):
+        return energy_report(model, *(
+            ClassSpec(prior, estimate_moments(rows.class_features(label)))
+            for label, prior in zip((1, 2), priors)))
+
+    unit, raw = report(unit_normalized(data)), report(data)
+    assert float(fields["enr_correct"]) == unit.enr_correct
+    assert float(fields["enr_error"]) == unit.enr_error
+    assert unit.enr_correct != raw.enr_correct
+
+
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_one_class_data_names_the_missing_label(capsys, tmp_path, command):
+    model_path = fit_model(capsys, tmp_path, gen_data(capsys, tmp_path))
+    one = tmp_path / "one.csv"
+    one.write_text("label,x1,x2,x3\n1,1,0,0\n1,0,1,0\n", encoding="utf-8")
+    if command == "fit":
+        argv = ["--out", str(tmp_path / "again.txt")]
+    else:
+        argv = ["--model", str(model_path)]
+    code, out, err = run_cli(capsys, command, *argv, "--data", str(one))
+    assert code == 2
+    assert out == ""
+    assert err == "error: no samples with label 2\n"
+
+
+def test_fit_priors_from_data_on_empty_data_exits_2(capsys, tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("label,x1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "fit", "--data", str(empty), "--priors-from-data",
+                             "--out", str(tmp_path / "m.txt"))
+    assert code == 2
+    assert err == "error: no samples with label 1\n"
+    assert not (tmp_path / "m.txt").exists()
+
+
+def test_spectrum_rejects_a_spectrum_that_contradicts_the_rank(capsys, tmp_path):
+    model_path = fit_model(capsys, tmp_path, gen_data(capsys, tmp_path))
+    lines = model_path.read_text(encoding="utf-8").splitlines()
+    assert lines[-3].startswith("spectrum=") and lines[-2] != "rank1=0"
+    n = len(lines[-3].split(","))
+    lines[-3] = "spectrum=" + ",".join(["-1"] * n)
+    model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "spectrum", "--model", str(model_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "spectrum" in err
+
+
 def test_spectrum_output(capsys, tmp_path):
     data = gen_data(capsys, tmp_path)
     model_path = fit_model(capsys, tmp_path, data)
@@ -211,6 +278,24 @@ def test_usage_errors_exit_1(capsys, tmp_path):
             assert code == 1, (command, per_class, seed)
             assert "usage" in err and "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--data", "x.csv", "--p1", "0.3", "--priors-from-data"],
+    ["gen-example1", "--n", "2", "--m1", "1,0", "--m2", "0,1", "--sigma2", "2",
+     "--cov", "2,0;0,2", "--per-class", "1", "--seed", "0"],
+    ["gen-example1", "--n", "2", "--m1", "1,0", "--m2", "0,1", "--cov", "2,0.5;0.5",
+     "--per-class", "1", "--seed", "0"],
+    ["gen-example1", "--n", "2", "--m1", "1,0", "--m2", "0,1", "--cov", "2,x;0,1",
+     "--per-class", "1", "--seed", "0"],
+])
+def test_conflicting_or_malformed_options_exit_1(capsys, tmp_path, argv):
+    out_path = tmp_path / "x.out"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert "usage" in err and "Traceback" not in err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("argv", [
