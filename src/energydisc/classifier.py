@@ -79,12 +79,23 @@ class EnergyClassifier:
     spectrum: np.ndarray
 
     def __post_init__(self):
+        # np.shape and np.isfinite also take fields passed as lists
+        n, p1, p2, tr1, tr2 = self.dim, self.prior1, self.prior2, self.tr_k1, self.tr_k2
+        if not np.shape(self.mean1) == np.shape(self.mean2) == np.shape(self.spectrum) == (n,):
+            raise DimensionMismatch(f"mean1, mean2 and spectrum must have length dim={n}")
+        numbers = (p1, p2, tr1, tr2, self.mean1, self.mean2, self.spectrum)
+        if not all(np.all(np.isfinite(v)) for v in numbers):
+            raise InvalidParameter("classifier fields must be finite numbers")
+        if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0 and abs(p1 + p2 - 1.0) <= 1e-12):
+            raise InvalidParameter(f"priors {p1}, {p2} must lie in (0,1) and sum to 1")
+        if self.mode is NormalizationMode.TRACE and not (tr1 > 0.0 and tr2 > 0.0):
+            raise DegenerateTrace(f"trace mode needs tr_k1, tr_k2 > 0, got {tr1}, {tr2}")
         # P_1 + P_2 = I and P_1 P_2 = 0 hold iff [U_1 U_2] is an orthogonal
         # n-by-n matrix; written as not (err <= tol) so that NaN entries fail
-        if self.proj1.rank + self.proj2.rank != self.dim:
+        if (self.proj1.dim, self.proj2.dim, self.proj1.rank + self.proj2.rank) != (n, n, n):
             raise InvalidParameter("projectors do not sum to the identity")
         w = np.hstack([self.proj1.basis, self.proj2.basis])
-        if not np.max(np.abs(w.T @ w - np.eye(self.dim))) <= 1e-9:
+        if not np.max(np.abs(w.T @ w - np.eye(n))) <= 1e-9:
             raise InvalidParameter("projectors are not mutually orthogonal")
 
 
@@ -142,8 +153,6 @@ def fit(
     eigenspace, goes to P_2. For unit mode the supplied moments must have
     been estimated from unit-normalized samples (not enforced here).
     """
-    if abs(class1.prior + class2.prior - 1.0) > 1e-12:
-        raise InvalidParameter("class priors must sum to 1")
     n = class1.moments.dim
     if class2.moments.dim != n:
         raise DimensionMismatch("class moment dimensions differ")
@@ -198,8 +207,6 @@ def discriminants(clf: EnergyClassifier, x: np.ndarray) -> tuple[np.ndarray, np.
         g1 = _energies(x, clf.proj1.basis)
         g2 = _energies(x, clf.proj2.basis)
         if mode is NormalizationMode.TRACE:
-            if clf.tr_k1 <= 0.0 or clf.tr_k2 <= 0.0:
-                raise DegenerateTrace("trace mode needs positive correlation traces")
             g1 = g1 / clf.tr_k1
             g2 = g2 / clf.tr_k2
     return g1, g2
@@ -263,15 +270,16 @@ def empirical_quality(
     p1, p2 = float(priors[0]), float(priors[1])
     if p1 < 0.0 or p2 < 0.0 or abs(p1 + p2 - 1.0) > 1e-12:
         raise InvalidParameter("priors must be nonnegative and sum to 1")
+    scored = np.column_stack(discriminants(clf, data.features))
     total = 0.0
     for label, prior in ((1, p1), (2, p2)):
         if prior == 0.0:
             continue
-        rows = _class_rows(data, label)
+        g1, g2 = _class_rows(data.labels, scored, label).T
         if indicator:
-            scores = (decide_batch(clf, rows) == label).astype(float)
+            scores = (_labels(g1, g2) == label).astype(float)
         else:
-            scores = discriminants(clf, rows)[label - 1]
+            scores = (g1, g2)[label - 1]
         total += prior * float(scores.mean())
     return total
 
@@ -285,10 +293,11 @@ def region_energy(
     from the labeled samples. With `return_stderr=True` also returns the
     standard error of the estimate.
     """
+    scored = np.column_stack(discriminants(clf, data.features))
     value = 0.0
     variance = 0.0
     for label, prior in ((1, clf.prior1), (2, clf.prior2)):
-        g1, g2 = discriminants(clf, _class_rows(data, label))
+        g1, g2 = _class_rows(data.labels, scored, label).T
         kept = (g1, g2)[label - 1] * (_labels(g1, g2) == label)
         value += prior * float(kept.mean())
         if kept.size > 1:
@@ -319,9 +328,9 @@ def snr(a, sigma2: float, n: int | None = None) -> float:
 # side is rebuilt as its complement, as `fit` builds it. Version 1 stores
 # the n-by-n matrix P1 and is still read as `Projector(P1, rank)`, with
 # P2 its complement. Either way the stored spectrum must descend and hold
-# exactly rank(P1) eigenvalues above fit's eps. All floats are written
-# with 17 significant digits so a save/load round trip is bit-exact and
-# decisions are reproducible.
+# exactly rank(P1) eigenvalues above fit's eps, which the writer checks
+# too. All floats are written with 17 significant digits so a save/load
+# round trip is bit-exact and decisions are reproducible.
 
 _HEADER_KEYS = ("format_version", "n", "mode", "p1", "p2", "trK1", "trK2",
                 "m1", "m2", "spectrum")
@@ -334,7 +343,18 @@ def _fmt_floats(values: np.ndarray) -> str:
     return ",".join([_FLOAT_FMT] * len(flat)) % tuple(flat)
 
 
+def _check_spectrum(clf: EnergyClassifier) -> None:
+    """The model writer's and reader's rule: the spectrum does not increase and
+    holds exactly rank(P1) eigenvalues above fit's eps, else InvalidParameter."""
+    spectrum, rank = np.asarray(clf.spectrum), clf.proj1.rank
+    if np.any(spectrum[1:] > spectrum[:-1]) or _positive_rank(spectrum) != rank:
+        raise InvalidParameter(f"spectrum must not increase and must hold rank(P1)={rank} "
+                               "eigenvalues above eps")
+
+
 def format_model(clf: EnergyClassifier) -> str:
+    """Version-2 model text; InvalidParameter for a spectrum the reader refuses."""
+    _check_spectrum(clf)
     n, k = clf.dim, clf.proj1.rank
     key, smaller = ("U1", clf.proj1) if k <= n - k else ("U2", clf.proj2)
     lines = [
@@ -409,8 +429,8 @@ def parse_model(text: str) -> EnergyClassifier:
             entries = _parse_floats(fields[basis_key]) if fields[basis_key] else np.empty(0)
     except ValueError as exc:
         raise ParseError(f"bad model field: {exc}") from exc
-    if n < 1 or mean1.shape != (n,) or mean2.shape != (n,) or spectrum.shape != (n,):
-        raise ParseError("model field lengths do not match n")
+    if n < 1:
+        raise ParseError(f"n={n} must be at least 1")
     if version == "1":
         if entries.shape != (n * n,):
             raise ParseError("P1 must hold n*n row-major entries")
@@ -424,41 +444,29 @@ def parse_model(text: str) -> EnergyClassifier:
                              f"not {basis_key}")
         if entries.shape != (n * cols,):
             raise ParseError(f"{basis_key} must hold n*{cols} row-major entries")
-    numbers = (prior1, prior2, tr_k1, tr_k2, mean1, mean2, spectrum, entries)
-    if not all(np.all(np.isfinite(v)) for v in numbers):
+    if not np.all(np.isfinite(entries)):
         raise ParseError("model fields must be finite numbers")
-    if not (0.0 < prior1 < 1.0 and 0.0 < prior2 < 1.0
-            and abs(prior1 + prior2 - 1.0) <= 1e-12):
-        raise ParseError(f"priors {prior1}, {prior2} must lie in (0,1) and sum to 1")
-    if mode is NormalizationMode.TRACE and not (tr_k1 > 0.0 and tr_k2 > 0.0):
-        raise ParseError(f"trace mode needs positive trK1, trK2, got {tr_k1}, {tr_k2}")
     if version == "1":
         p1_matrix = entries.reshape(n, n)
         proj1 = Projector(p1_matrix, int(round(float(np.trace(p1_matrix)))))
         proj2 = complement(proj1)
     else:
         proj1, proj2 = _pair_from_smaller_basis(entries.reshape(n, cols), rank1)
-    if np.any(np.diff(spectrum) > 0.0) or _positive_rank(spectrum) != proj1.rank:
-        raise ParseError(f"spectrum must not increase and must hold rank(P1)={proj1.rank} "
-                         "eigenvalues above eps")
-    return EnergyClassifier(
-        dim=n,
-        mode=mode,
-        proj1=proj1,
-        proj2=proj2,
-        prior1=prior1,
-        prior2=prior2,
-        tr_k1=tr_k1,
-        tr_k2=tr_k2,
-        mean1=mean1,
-        mean2=mean2,
-        spectrum=spectrum,
-    )
+    # the classifier owns the field rules; its errors keep their text
+    try:
+        clf = EnergyClassifier(dim=n, mode=mode, proj1=proj1, proj2=proj2, prior1=prior1,
+                               prior2=prior2, tr_k1=tr_k1, tr_k2=tr_k2, mean1=mean1,
+                               mean2=mean2, spectrum=spectrum)
+        _check_spectrum(clf)
+    except (DimensionMismatch, InvalidParameter, DegenerateTrace) as exc:
+        raise ParseError(str(exc)) from exc
+    return clf
 
 
 def save_model(clf: EnergyClassifier, path) -> None:
+    text = format_model(clf)  # before opening, so a refused model truncates no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_model(clf))
+        fh.write(text)
 
 
 def load_model(path) -> EnergyClassifier:

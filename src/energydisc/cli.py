@@ -15,9 +15,8 @@ import numpy as np
 
 from . import classifier as clf_mod
 from . import datasets as ds_mod
-from .datasets import (_FLOAT_FMT, _class_rows, _first_zero_norm, _parse_floats,
-                       _read_lines, _row_line)
-from .errors import EnergydiscError
+from .datasets import _FLOAT_FMT, _class_rows, _parse_floats, _read_lines, _row_line
+from .errors import EnergydiscError, ZeroSignal
 from .moments import estimate_moments
 from .spectral import sym_matrix
 
@@ -64,7 +63,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g1 = sub.add_parser("gen-example1", help="two Gaussian classes, orthogonal means")
-    g1.add_argument("--n", type=int, required=True)
+    g1.add_argument("--n", type=_count_arg, required=True)
     g1.add_argument("--m1", type=_vector_arg, required=True)
     g1.add_argument("--m2", type=_vector_arg, required=True)
     cov = g1.add_mutually_exclusive_group()
@@ -77,7 +76,7 @@ def _build_parser() -> _Parser:
     g1.add_argument("--out", required=True)
 
     g2 = sub.add_parser("gen-example2", help="signal in white noise vs white noise")
-    g2.add_argument("--n", type=int, required=True)
+    g2.add_argument("--n", type=_count_arg, required=True)
     g2.add_argument("--a", type=_vector_arg, required=True)
     g2.add_argument("--sigma2", type=float, required=True)
     g2.add_argument("--per-class", type=_count_arg, required=True)
@@ -131,13 +130,13 @@ def _class_moments(data: ds_mod.LabeledDataset, mode):
     mode; EmptyClass names a label without rows."""
     if mode is clf_mod.NormalizationMode.UNIT:
         data = ds_mod.unit_normalized(data)
-    return tuple(estimate_moments(_class_rows(data, label)) for label in (1, 2))
+    return tuple(estimate_moments(_class_rows(data.labels, data.features, label))
+                 for label in (1, 2))
 
 
 def _cmd_fit(args) -> int:
     mode = clf_mod.NormalizationMode(args.mode)
     data = ds_mod.load_csv(args.data)
-    _check_unit_rows(mode, data, args.data)
     mom1, mom2 = _class_moments(data, mode)
     p1 = mom1.count / len(data) if args.priors_from_data else args.p1
     model = clf_mod.fit(clf_mod.ClassSpec(p1, mom1), clf_mod.ClassSpec(1.0 - p1, mom2), mode)
@@ -146,25 +145,11 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _check_unit_rows(mode, data: ds_mod.LabeledDataset, path) -> None:
-    """In unit mode, name the line of the CSV at `path` holding the first
-    zero row of `data` (loaded from it), which cannot be unit-normalized."""
-    if mode is not clf_mod.NormalizationMode.UNIT:
-        return
-    bad = _first_zero_norm(np.linalg.norm(data.features, axis=1))
-    if bad is not None:
-        raise EnergydiscError(
-            f"zero vector at line {_row_line(_read_lines(path), bad)} of the data file "
-            "cannot be unit-normalized"
-        )
-
-
 def _cmd_predict(args) -> int:
     model = clf_mod.load_model(args.model)
     data = ds_mod.load_csv(args.data)
     if len(data) == 0:
         return 0
-    _check_unit_rows(model.mode, data, args.data)
     for label in clf_mod.decide_batch(model, data.features):
         print(int(label))
     return 0
@@ -173,7 +158,6 @@ def _cmd_predict(args) -> int:
 def _cmd_eval(args) -> int:
     model = clf_mod.load_model(args.model)
     data = ds_mod.load_csv(args.data)
-    _check_unit_rows(model.mode, data, args.data)
     mom1, mom2 = _class_moments(data, model.mode)
     spec1 = clf_mod.ClassSpec(model.prior1, mom1)
     spec2 = clf_mod.ClassSpec(model.prior2, mom2)
@@ -236,7 +220,13 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (EnergydiscError, OSError) as exc:
+    except ZeroSignal as exc:
+        # only fit, predict and eval normalize, each every row of --data first
+        line = _row_line(_read_lines(args.data), exc.row)
+        print(f"error: zero vector at line {line} of the data file cannot be "
+              "unit-normalized", file=sys.stderr)
+        return 2
+    except (EnergydiscError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,19 +46,14 @@ def _parse_floats(text: str) -> np.ndarray:
 _ZERO_NORM = 1e-12
 
 
-def _first_zero_norm(norms: np.ndarray) -> int | None:
-    """Index of the first row norm at most 1e-12, or None if there is none."""
-    bad = np.nonzero(norms <= _ZERO_NORM)[0]
-    return int(bad[0]) if bad.size else None
-
-
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     """Every row of `x` rescaled to unit norm; ZeroSignal names the first
-    row too close to zero to rescale."""
+    row too close to zero to rescale, and carries its index as `row`."""
     norms = np.linalg.norm(x, axis=1)
-    bad = _first_zero_norm(norms)
-    if bad is not None:
-        raise ZeroSignal(f"cannot unit-normalize zero vector at row {bad + 1}")
+    bad = np.nonzero(norms <= _ZERO_NORM)[0]
+    if bad.size:
+        row = int(bad[0])
+        raise ZeroSignal(f"cannot unit-normalize zero vector at row {row + 1}", row)
     return x / norms[:, None]
 
 
@@ -102,12 +97,13 @@ class LabeledDataset:
         return self.features[self.labels == label]
 
 
-def _class_rows(data: LabeledDataset, label: int) -> np.ndarray:
-    """The rows of class `label`; EmptyClass if it has none."""
-    rows = data.class_features(label)
-    if rows.shape[0] == 0:
+def _class_rows(labels: np.ndarray, rows: np.ndarray, label: int) -> np.ndarray:
+    """The rows of `rows` (one per entry of `labels`) of class `label`;
+    EmptyClass if it has none."""
+    mine = rows[labels == label]
+    if mine.shape[0] == 0:
         raise EmptyClass(f"no samples with label {label}")
-    return rows
+    return mine
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -30,7 +30,12 @@ class DegenerateTrace(EnergydiscError):
 
 
 class ZeroSignal(EnergydiscError):
-    """Unit-norm normalization applied to a zero vector."""
+    """Unit-norm normalization applied to a zero vector; `row` is its
+    0-based row index when known."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class InvalidParameter(EnergydiscError):

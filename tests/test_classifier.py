@@ -3,6 +3,7 @@ import pytest
 
 from energydisc import (
     ClassSpec,
+    DegenerateTrace,
     DimensionMismatch,
     EmptyClass,
     EnergyClassifier,
@@ -25,6 +26,7 @@ from energydisc import (
     gen_example2,
     load_model,
     parse_model,
+    projector_from_basis,
     region_energy,
     save_model,
     snr,
@@ -85,6 +87,12 @@ def test_fit_rejects_bad_priors():
     c1 = ClassSpec(0.6, c2.moments)
     with pytest.raises(InvalidParameter):
         fit(c1, c2)  # 0.6 + 0.5 != 1
+
+
+def test_trace_fit_rejects_a_class_of_zero_trace():
+    zero = ClassSpec(0.5, analytic_moments(np.zeros(2), np.zeros((2, 2))))
+    with pytest.raises(DegenerateTrace, match="correlation trace 0"):
+        fit(zero, gaussian_pair()[1], NormalizationMode.TRACE)
 
 
 def test_fit_rejects_dimension_mismatch():
@@ -256,6 +264,75 @@ def test_discriminants_reject_nonfinite_rows(mode, value):
         decide_batch(clf, x)
     with pytest.raises(InvalidParameter, match="row 1"):
         decide(clf, x[1])
+
+
+def _classifier_fields(**change):
+    """The fields of a valid classifier of dim 2, with `change` applied."""
+    p = projector_from_basis([np.array([1.0, 0.0])])
+    fields = dict(dim=2, mode=NormalizationMode.RAW, proj1=p, proj2=complement(p),
+                  prior1=0.5, prior2=0.5, tr_k1=1.0, tr_k2=1.0,
+                  mean1=np.zeros(2), mean2=np.zeros(2), spectrum=np.array([1.0, 0.0]))
+    fields.update(change)
+    return fields
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"prior1": np.nan}, InvalidParameter),
+    ({"prior1": np.nan, "prior2": np.nan}, InvalidParameter),
+    ({"prior1": 0.6}, InvalidParameter),
+    ({"prior1": 0.0, "prior2": 1.0}, InvalidParameter),
+    ({"prior1": 1.5, "prior2": -0.5}, InvalidParameter),
+    ({"tr_k2": np.inf}, InvalidParameter),
+    ({"mean1": np.array([np.nan, 0.0])}, InvalidParameter),
+    ({"spectrum": np.array([1.0, -np.inf])}, InvalidParameter),
+    ({"mean1": np.zeros(3)}, DimensionMismatch),
+    ({"mean2": [0.0]}, DimensionMismatch),  # a list gets a typed error too
+    ({"spectrum": np.zeros((2, 1))}, DimensionMismatch),
+    ({"mode": NormalizationMode.TRACE, "tr_k1": 0.0}, DegenerateTrace),
+    ({"mode": NormalizationMode.TRACE, "tr_k2": -1.0}, DegenerateTrace),
+    # two orthogonal lines of R^3 pass the Gram check of a pair of dim 2
+    ({"proj1": projector_from_basis([np.array([1.0, 0.0, 0.0])]),
+      "proj2": projector_from_basis([np.array([0.0, 1.0, 0.0])])}, InvalidParameter),
+])
+def test_classifier_checks_its_fields(change, error):
+    with pytest.raises(error):
+        EnergyClassifier(**_classifier_fields(**change))
+
+
+def test_classifier_fields_within_the_rules_are_accepted():
+    EnergyClassifier(**_classifier_fields(mode=NormalizationMode.TRACE))
+    EnergyClassifier(**_classifier_fields(tr_k1=0.0, tr_k2=-1.0))  # unused outside trace mode
+    EnergyClassifier(**_classifier_fields(prior1=0.3, prior2=0.7, mean1=[1.0, 2.0]))
+
+
+def test_library_statistics_name_the_dataset_row_of_a_zero_vector():
+    clf = fit(*noise_pair(2, [2.0, 0.0], 1.0), NormalizationMode.UNIT)
+    features = np.random.default_rng(61).standard_normal((20, 2))
+    features[12] = 0.0  # the third row of class 2
+    data = LabeledDataset(np.repeat([1, 2], 10), features)
+    for statistic in (region_energy, empirical_quality):
+        with pytest.raises(ZeroSignal, match="row 13") as info:
+            statistic(clf, data)
+        assert info.value.row == 12
+
+
+@pytest.mark.parametrize("mode", list(NormalizationMode))
+def test_library_statistics_equal_per_class_scoring(mode):
+    # scoring all rows at once gives each class the values scoring the
+    # class on its own gives, bit for bit
+    data = gen_example2(3, [1.5, 0.0, 1.0], 0.8, per_class=500, seed=62)
+    data = LabeledDataset(np.random.default_rng(63).permutation(data.labels), data.features)
+    clf, _ = _sampled_fit(3, mode)
+    region, quality, hits = 0.0, 0.0, 0.0
+    for label, prior in ((1, clf.prior1), (2, clf.prior2)):
+        g1, g2 = discriminants(clf, data.class_features(label))
+        g, decided = (g1, g2)[label - 1], decide_batch(clf, data.class_features(label))
+        region += prior * float((g * (decided == label)).mean())
+        quality += prior * float(g.mean())
+        hits += prior * float((decided == label).astype(float).mean())
+    assert region_energy(clf, data) == region
+    assert empirical_quality(clf, data) == quality
+    assert empirical_quality(clf, data, indicator=True) == hits
 
 
 # -- energy bookkeeping ----------------------------------------------------
@@ -506,6 +583,23 @@ def test_model_v2_edge_ranks(pair, rank1, field):
     assert (back.proj1.rank, back.proj2.rank) == (rank1, clf.dim - rank1)
     np.testing.assert_array_equal(back.proj1.matrix, clf.proj1.matrix)
     np.testing.assert_array_equal(back.proj2.matrix, clf.proj2.matrix)
+
+
+def test_save_model_refuses_a_spectrum_the_reader_refuses(tmp_path):
+    # an arbitrary complementary pair with spectrum 0, 0, as the acceptance
+    # tests build it: rank(P1) = 1, yet no eigenvalue is above eps
+    p = projector_from_basis([np.array([1.0, 1.0]) / np.sqrt(2.0)])
+    clf = EnergyClassifier(**_classifier_fields(proj1=p, proj2=complement(p),
+                                                spectrum=np.zeros(2)))
+    with pytest.raises(InvalidParameter, match="spectrum"):
+        format_model(clf)
+    path = tmp_path / "model.txt"
+    save_model(fit(*gaussian_pair()), path)
+    before = path.read_bytes()
+    with pytest.raises(InvalidParameter, match="spectrum"):
+        save_model(clf, path)
+    assert path.read_bytes() == before
+    assert load_model(path).proj1.rank == 1
 
 
 def test_parse_model_rejects_garbage():

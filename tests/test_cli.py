@@ -298,6 +298,24 @@ def test_conflicting_or_malformed_options_exit_1(capsys, tmp_path, argv):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    # a negative dimension is a usage error, not np.eye(-1)'s ValueError
+    (["gen-example1", "--n", "-1", "--m1", "1,0", "--m2", "0,1",
+      "--per-class", "2"], 1),
+    (["gen-example2", "--n", "-1", "--a", "1,0", "--sigma2", "1", "--per-class", "2"], 1),
+    # 2.84 PiB: numpy refuses the request before allocating anything
+    (["gen-example2", "--n", "2", "--a", "1,0", "--sigma2", "1",
+      "--per-class", "99999999999999"], 2),
+])
+def test_bad_generator_sizes_exit_without_traceback(capsys, tmp_path, argv, code):
+    out_path = tmp_path / "x.csv"
+    got, out, err = run_cli(capsys, *argv, "--seed", "0", "--out", str(out_path))
+    assert got == code
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["gen-example2", "--n", "2", "--a", "1,0", "--sigma2", "nan"],
     ["gen-example2", "--n", "2", "--a", "1,0", "--sigma2", "inf"],

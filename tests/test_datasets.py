@@ -121,6 +121,14 @@ def test_unit_normalized_rejects_zero_row():
         unit_normalized(data)
 
 
+def test_zero_signal_carries_the_row_index():
+    features = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ZeroSignal, match="row 3") as info:
+        unit_normalized(LabeledDataset(np.array([2, 1, 1, 2]), features))
+    assert info.value.row == 2
+    assert ZeroSignal("no row").row is None
+
+
 def test_csv_round_trip_exact(tmp_path):
     data = gen_example2(4, [0.3, -1.7, 2.5, 0.0], 1.5, per_class=25, seed=21)
     path = tmp_path / "data.csv"

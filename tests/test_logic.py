@@ -49,6 +49,14 @@ def test_membership_dimension_check():
         membership(E1, np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("connective", [meet, join, leq])
+def test_connectives_reject_projectors_of_different_dims(connective):
+    plane = identity_projector(3)
+    for p, q in ((E1, plane), (plane, E1)):
+        with pytest.raises(DimensionMismatch, match="dims differ: [23] vs [23]"):
+            connective(p, q)
+
+
 def test_meet_of_skew_lines_is_zero():
     # spans {(1,0)} and {(1,1)} only share the origin
     m = meet(E1, DIAG)

@@ -38,6 +38,11 @@ def test_estimate_rejects_ragged():
         estimate_moments([[1.0, 2.0], [1.0]])
 
 
+def test_estimate_rejects_samples_of_more_than_two_axes():
+    with pytest.raises(DimensionMismatch, match="equal-length vectors"):
+        estimate_moments(np.zeros((2, 3, 4)))
+
+
 def test_estimate_decomposition_identity():
     # correlation = covariance + outer(mean, mean), exactly with the 1/N
     # estimators used here

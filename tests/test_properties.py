@@ -1,0 +1,91 @@
+"""Hypothesis properties of the model file.
+
+Every example is drawn from a fixed seed (`derandomize=True`), so the suite
+stays deterministic. The fits run over n in 1..8, all four modes, random
+priors and random PSD class moments.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from energydisc import (  # noqa: E402
+    ClassSpec,
+    EnergydiscError,
+    NormalizationMode,
+    analytic_moments,
+    fit,
+    format_model,
+    parse_model,
+)
+
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+
+_ENTRIES = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+def _moments(draw, n):
+    """Class moments with mean m and covariance A A^T, both drawn."""
+    a = draw(arrays(np.float64, (n, n), elements=_ENTRIES))
+    return analytic_moments(draw(arrays(np.float64, n, elements=_ENTRIES)), a @ a.T)
+
+
+@st.composite
+def fitted(draw):
+    n = draw(st.integers(1, 8))
+    mode = draw(st.sampled_from(list(NormalizationMode)))
+    prior = draw(st.floats(0.01, 0.99))
+    m1, m2 = _moments(draw, n), _moments(draw, n)
+    if mode is NormalizationMode.TRACE:
+        assume(np.trace(m1.correlation) > 0.0 and np.trace(m2.correlation) > 0.0)
+    return fit(ClassSpec(prior, m1), ClassSpec(1.0 - prior, m2), mode)
+
+
+@PROPERTY
+@given(fitted())
+def test_model_text_round_trip_is_exact(clf):
+    text = format_model(clf)
+    back = parse_model(text)
+    assert format_model(back) == text
+    for mine, theirs in ((back.proj1, clf.proj1), (back.proj2, clf.proj2)):
+        np.testing.assert_array_equal(mine.basis, theirs.basis)
+
+
+_ANY_FLOAT = st.floats() | st.sampled_from([0.0, -0.0, 1.0, 0.5 + 1e-13, 1e-300, 1e308])
+
+
+def _bad_value(draw, clf, field):
+    """A replacement for `field`: any float or mode, or a vector of nearly
+    the right length whose entries may be non-finite, descend or arrive as
+    a list."""
+    if field == "mode":
+        return draw(st.sampled_from(list(NormalizationMode)))
+    if field not in ("mean1", "mean2", "spectrum"):
+        return draw(_ANY_FLOAT)
+    length = draw(st.sampled_from([clf.dim, clf.dim, clf.dim - 1, clf.dim + 1]))
+    entries = draw(st.sampled_from([st.floats(-5.0, 5.0), _ANY_FLOAT]))
+    vector = draw(arrays(np.float64, length, elements=entries))
+    shape = draw(st.sampled_from(["array", "descending", "list"]))
+    if shape == "descending":
+        return np.sort(vector)[::-1]
+    return vector.tolist() if shape == "list" else vector
+
+
+_FIELDS = ["spectrum", "mean1", "mean2", "tr_k1", "tr_k2", "prior1", "prior2", "mode"]
+
+
+@PROPERTY
+@given(fitted(), st.sampled_from(_FIELDS), st.data())
+def test_a_model_that_saves_also_loads(clf, field, data):
+    value = _bad_value(data.draw, clf, field)
+    try:
+        text = format_model(dataclasses.replace(clf, **{field: value}))
+    except EnergydiscError:
+        return  # refused by the classifier or by the writer
+    assert format_model(parse_model(text)) == text

@@ -183,6 +183,16 @@ def test_projector_constructor_rank_is_a_whole_number():
         Projector(np.diag([1.0, 0.0]), 1.0 + 1e-9)
 
 
+def test_projector_constructor_rejects_a_trace_other_than_rank():
+    with pytest.raises(InvalidMatrix, match="trace does not match rank"):
+        Projector(np.diag([1.0, 0.0]), 2)
+
+
+def test_projector_from_basis_rejects_a_conflicting_dim():
+    with pytest.raises(DimensionMismatch, match="dim=3"):
+        projector_from_basis([np.array([1.0, 0.0])], dim=3)
+
+
 def test_projector_constructor_rejects_nan():
     with pytest.raises(InvalidMatrix):
         Projector(np.full((2, 2), np.nan), 1)
