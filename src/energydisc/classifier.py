@@ -34,7 +34,7 @@ from .datasets import (_FLOAT_FMT, LabeledDataset, _class_rows, _first_nonfinite
                        _parse_floats, _unit_rows)
 from .errors import DegenerateTrace, DimensionMismatch, InvalidParameter, ParseError
 from .moments import MomentSummary
-from .spectral import Projector, complement, sym_eig, sym_matrix
+from .spectral import Projector, complement, sym_eig
 
 
 class NormalizationMode(enum.Enum):
@@ -42,6 +42,14 @@ class NormalizationMode(enum.Enum):
     TRACE = "trace"
     UNIT = "unit"
     CENTERED = "centered"
+
+
+def _as_mode(mode) -> NormalizationMode:
+    """A NormalizationMode or its value as the member; InvalidParameter otherwise."""
+    try:
+        return NormalizationMode(mode)
+    except ValueError:
+        raise InvalidParameter(f"unknown normalization mode {mode!r}") from None
 
 
 @dataclass(frozen=True)
@@ -79,6 +87,7 @@ class EnergyClassifier:
     spectrum: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", _as_mode(self.mode))
         # np.shape and np.isfinite also take fields passed as lists
         n, p1, p2, tr1, tr2 = self.dim, self.prior1, self.prior2, self.tr_k1, self.tr_k2
         if not np.shape(self.mean1) == np.shape(self.mean2) == np.shape(self.spectrum) == (n,):
@@ -153,13 +162,13 @@ def fit(
     eigenspace, goes to P_2. For unit mode the supplied moments must have
     been estimated from unit-normalized samples (not enforced here).
     """
+    mode = _as_mode(mode)
     n = class1.moments.dim
     if class2.moments.dim != n:
         raise DimensionMismatch("class moment dimensions differ")
     m1 = _mode_matrix(class1.moments, mode)
     m2 = _mode_matrix(class2.moments, mode)
-    diff = sym_matrix(class1.prior * m1 - class2.prior * m2)
-    values, vectors = sym_eig(diff)
+    values, vectors = sym_eig(class1.prior * m1 - class2.prior * m2)
     k = _positive_rank(values)  # values descend: U_1 is the first k columns
     smaller = vectors[:, :k] if k <= n - k else vectors[:, k:]
     proj1, proj2 = _pair_from_smaller_basis(smaller, k)
@@ -250,6 +259,35 @@ def energy_report(clf: EnergyClassifier, class1: ClassSpec, class2: ClassSpec) -
     )
 
 
+def _sample_functionals(clf: EnergyClassifier, data: LabeledDataset,
+                        priors: tuple[float, float]) -> tuple[float, ...]:
+    """The sample functionals of one scoring pass over labeled data, as
+    (quality, indicator quality, region energy, its standard error, accuracy).
+
+    Each class term is a prior-weighted mean over that class's rows; a
+    class is skipped, and may be absent, only if its prior is zero.
+    """
+    p1, p2 = float(priors[0]), float(priors[1])
+    if not (p1 >= 0.0 and p2 >= 0.0 and abs(p1 + p2 - 1.0) <= 1e-12):  # NaN fails
+        raise InvalidParameter("priors must be nonnegative and sum to 1")
+    g1, g2 = discriminants(clf, data.features)
+    hits = _labels(g1, g2) == data.labels
+    scored = np.column_stack((g1, g2, hits))
+    quality = indicator = region = variance = 0.0
+    for label, prior in ((1, p1), (2, p2)):
+        if prior == 0.0:
+            continue
+        g1, g2, won = _class_rows(data.labels, scored, label).T
+        g = (g1, g2)[label - 1]
+        kept = g * won  # the energy of the rows decided correctly
+        quality += prior * float(g.mean())
+        indicator += prior * float(won.mean())
+        region += prior * float(kept.mean())
+        if kept.size > 1:
+            variance += prior**2 * float(kept.var(ddof=1)) / kept.size
+    return quality, indicator, region, float(np.sqrt(variance)), float(np.mean(hits))
+
+
 def empirical_quality(
     clf: EnergyClassifier,
     data: LabeledDataset,
@@ -267,21 +305,7 @@ def empirical_quality(
     """
     if priors is None:
         priors = (clf.prior1, clf.prior2)
-    p1, p2 = float(priors[0]), float(priors[1])
-    if p1 < 0.0 or p2 < 0.0 or abs(p1 + p2 - 1.0) > 1e-12:
-        raise InvalidParameter("priors must be nonnegative and sum to 1")
-    scored = np.column_stack(discriminants(clf, data.features))
-    total = 0.0
-    for label, prior in ((1, p1), (2, p2)):
-        if prior == 0.0:
-            continue
-        g1, g2 = _class_rows(data.labels, scored, label).T
-        if indicator:
-            scores = (_labels(g1, g2) == label).astype(float)
-        else:
-            scores = (g1, g2)[label - 1]
-        total += prior * float(scores.mean())
-    return total
+    return _sample_functionals(clf, data, priors)[1 if indicator else 0]
 
 
 def region_energy(
@@ -293,23 +317,15 @@ def region_energy(
     from the labeled samples. With `return_stderr=True` also returns the
     standard error of the estimate.
     """
-    scored = np.column_stack(discriminants(clf, data.features))
-    value = 0.0
-    variance = 0.0
-    for label, prior in ((1, clf.prior1), (2, clf.prior2)):
-        g1, g2 = _class_rows(data.labels, scored, label).T
-        kept = (g1, g2)[label - 1] * (_labels(g1, g2) == label)
-        value += prior * float(kept.mean())
-        if kept.size > 1:
-            variance += prior**2 * float(kept.var(ddof=1)) / kept.size
-    if return_stderr:
-        return value, float(np.sqrt(variance))
-    return value
+    _, _, value, stderr, _ = _sample_functionals(clf, data, (clf.prior1, clf.prior2))
+    return (value, stderr) if return_stderr else value
 
 
 def snr(a, sigma2: float, n: int | None = None) -> float:
     """Signal-to-noise ratio ||a||^2 / (n * sigma^2) of a signal in white noise."""
     a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise InvalidParameter("signal vector must be finite")
     if n is None:
         n = a.shape[0]
     if not 0.0 < sigma2 < np.inf:  # NaN fails both comparisons
@@ -446,6 +462,9 @@ def parse_model(text: str) -> EnergyClassifier:
             raise ParseError(f"{basis_key} must hold n*{cols} row-major entries")
     if not np.all(np.isfinite(entries)):
         raise ParseError("model fields must be finite numbers")
+    # before the pair is built: a short text must not make complement's n-by-n QR
+    if not mean1.shape == mean2.shape == spectrum.shape == (n,):
+        raise ParseError(f"mean1, mean2 and spectrum must have length dim={n}")
     if version == "1":
         p1_matrix = entries.reshape(n, n)
         proj1 = Projector(p1_matrix, int(round(float(np.trace(p1_matrix)))))

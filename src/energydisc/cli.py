@@ -18,20 +18,14 @@ from . import datasets as ds_mod
 from .datasets import _FLOAT_FMT, _class_rows, _parse_floats, _read_lines, _row_line
 from .errors import EnergydiscError, ZeroSignal
 from .moments import estimate_moments
-from .spectral import sym_matrix
-
-
-class _UsageError(Exception):
-    def __init__(self, message: str, parser: argparse.ArgumentParser):
-        super().__init__(message)
-        self.parser = parser
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems instead of exiting."""
+    """argparse variant whose usage errors exit with code 1, not 2."""
 
     def error(self, message):
-        raise _UsageError(message, self)
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
 
 
 def _count_arg(text: str) -> int:
@@ -111,8 +105,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_gen_example1(args) -> int:
     cov = args.cov if args.cov is not None else args.sigma2 * np.eye(args.n)
-    data = ds_mod.gen_example1(args.n, args.m1, args.m2, sym_matrix(cov),
-                               args.per_class, args.seed)
+    data = ds_mod.gen_example1(args.n, args.m1, args.m2, cov, args.per_class, args.seed)
     ds_mod.save_csv(data, args.out)
     print(f"wrote {len(data)} rows")
     return 0
@@ -148,8 +141,6 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     model = clf_mod.load_model(args.model)
     data = ds_mod.load_csv(args.data)
-    if len(data) == 0:
-        return 0
     for label in clf_mod.decide_batch(model, data.features):
         print(int(label))
     return 0
@@ -162,9 +153,8 @@ def _cmd_eval(args) -> int:
     spec1 = clf_mod.ClassSpec(model.prior1, mom1)
     spec2 = clf_mod.ClassSpec(model.prior2, mom2)
     report = clf_mod.energy_report(model, spec1, spec2)
-    region = clf_mod.region_energy(model, data)
-    quality = clf_mod.empirical_quality(model, data)
-    accuracy = float(np.mean(clf_mod.decide_batch(model, data.features) == data.labels))
+    quality, _, region, _, accuracy = clf_mod._sample_functionals(
+        model, data, (model.prior1, model.prior2))
     lower_slack = report.enr_correct - region
     upper_slack = report.enr_error - lower_slack
     slack_tol = 1e-9 * max(1.0, abs(report.total))
@@ -212,11 +202,7 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(exc.parser.format_usage(), file=sys.stderr, end="")
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
+    except SystemExit as exc:  # --help, or a usage error
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)

@@ -71,15 +71,18 @@ class LabeledDataset:
     features: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
         features = np.asarray(self.features, dtype=float)
         if features.ndim != 2:
             raise DimensionMismatch("features must be a 2-d array of row vectors")
         if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
             raise DimensionMismatch("labels and features row counts differ")
-        bad = np.setdiff1d(labels, (1, 2))
-        if bad.size:
-            raise LabelError(f"labels must be 1 or 2, found {bad[0]}")
+        # checked before the int cast, which would turn 1.5 into 1
+        valid = np.isin(labels, (1, 2))
+        if not valid.all():
+            found = labels[np.argmin(valid)].item()
+            raise LabelError(f"labels must be 1 or 2, found {found!r}")
+        labels = labels.astype(int, copy=False)
         bad = _first_nonfinite_row(features)
         if bad is not None:
             raise InvalidParameter(f"non-finite feature at row {bad + 1}")
@@ -240,11 +243,8 @@ def load_csv(path) -> LabeledDataset:
     lines = _read_lines(path)
     if not lines:
         raise ParseError("missing header", 1)
-    fields = lines[0].split(",")
-    if fields[0] != "label" or len(fields) < 2:
-        raise ParseError(f"bad header {lines[0]!r}", 1)
-    n = len(fields) - 1
-    if fields[1:] != [f"x{i + 1}" for i in range(n)]:
+    n = lines[0].count(",")
+    if n < 1 or lines[0].split(",") != ["label"] + [f"x{i + 1}" for i in range(n)]:
         raise ParseError(f"bad header {lines[0]!r}", 1)
     parsed = _parse_table([line for line in lines[1:] if line], n)
     labels, features = parsed if parsed is not None else _parse_rows(lines, n)

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -305,6 +308,27 @@ def test_classifier_fields_within_the_rules_are_accepted():
     EnergyClassifier(**_classifier_fields(prior1=0.3, prior2=0.7, mean1=[1.0, 2.0]))
 
 
+def test_mode_may_be_given_by_its_value():
+    c1, c2 = gaussian_pair()  # traces 5 and 2, so trace mode moves the spectrum
+    clf = fit(c1, c2, "trace")
+    assert clf.mode is NormalizationMode.TRACE
+    assert format_model(clf) == format_model(fit(c1, c2, NormalizationMode.TRACE))
+    raw = fit(c1, c2)
+    as_trace = dataclasses.replace(raw, mode="trace")
+    assert as_trace.mode is NormalizationMode.TRACE
+    x = np.array([[1.0, 1.0], [2.0, 0.5]])
+    np.testing.assert_array_equal(
+        discriminants(as_trace, x),
+        discriminants(dataclasses.replace(raw, mode=NormalizationMode.TRACE), x))
+
+
+def test_unknown_mode_is_refused():
+    with pytest.raises(InvalidParameter, match="bogus"):
+        fit(*gaussian_pair(), "bogus")
+    with pytest.raises(InvalidParameter, match="bogus"):
+        EnergyClassifier(**_classifier_fields(mode="bogus"))
+
+
 def test_library_statistics_name_the_dataset_row_of_a_zero_vector():
     clf = fit(*noise_pair(2, [2.0, 0.0], 1.0), NormalizationMode.UNIT)
     features = np.random.default_rng(61).standard_normal((20, 2))
@@ -424,6 +448,12 @@ def test_snr_values_and_errors():
         snr([1.0], 1.0, n=0)
 
 
+@pytest.mark.parametrize("signal", [[np.nan], [1.0, np.inf]])
+def test_snr_rejects_a_nonfinite_signal(signal):
+    with pytest.raises(InvalidParameter, match="signal vector must be finite"):
+        snr(signal, 1.0)
+
+
 @pytest.mark.parametrize("sigma2", [np.nan, np.inf, 0.0, -1.0])
 def test_snr_rejects_bad_noise_variance(sigma2):
     with pytest.raises(InvalidParameter):
@@ -458,6 +488,12 @@ def test_empirical_quality_prior_handling():
         empirical_quality(clf, only1)
     with pytest.raises(InvalidParameter):
         empirical_quality(clf, data, (0.6, 0.5))
+
+
+@pytest.mark.parametrize("priors", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan)])
+def test_empirical_quality_rejects_nan_priors(priors):
+    with pytest.raises(InvalidParameter):
+        empirical_quality(fit(*gaussian_pair()), small_dataset(), priors)
 
 
 def test_region_energy_hand_computed():
@@ -705,6 +741,20 @@ def test_parse_model_checks_entry_counts():
         lines = [ln if not ln.startswith("spectrum=") else "spectrum=1" for ln in lines]
         with pytest.raises(ParseError):
             parse_model("\n".join(lines) + "\n")
+
+
+def test_parse_model_refuses_short_vectors_before_building_the_pair():
+    # rank1=0 and an empty U1 would make P2 the complete n-by-n QR basis
+    text = ("format_version=2\nn=2000\nmode=raw\np1=0.5\np2=0.5\ntrK1=1\ntrK2=1\n"
+            "m1=0\nm2=0\nspectrum=0\nrank1=0\nU1=\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="must have length dim=2000"):
+            parse_model(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def _random_v2_text():

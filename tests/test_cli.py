@@ -158,6 +158,17 @@ def test_predict_empty_data(capsys, tmp_path):
     assert out == ""
 
 
+def test_predict_header_only_data_of_another_width_exits_2(capsys, tmp_path):
+    model_path = fit_model(capsys, tmp_path, gen_data(capsys, tmp_path))
+    empty = tmp_path / "empty.csv"
+    empty.write_text("label,x1,x2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "predict", "--model", str(model_path),
+                             "--data", str(empty))
+    assert code == 2
+    assert out == ""
+    assert err == "error: vectors of length 2 vs model dim 3\n"
+
+
 def test_eval_report(capsys, tmp_path):
     data = gen_data(capsys, tmp_path, per_class=400)
     model_path = fit_model(capsys, tmp_path, data)

@@ -34,6 +34,20 @@ def test_labeled_dataset_validation():
         LabeledDataset(np.array([1]), np.zeros(3))
 
 
+@pytest.mark.parametrize("labels, found", [
+    ([1.5, 2.0], "1.5"), ([np.nan, 2.0], "nan"), ([2, 3, 0], "3")])
+def test_labeled_dataset_names_the_first_label_not_1_or_2(labels, found):
+    with pytest.raises(LabelError, match=f"found {found}$"):
+        LabeledDataset(labels, np.zeros((len(labels), 2)))
+
+
+@pytest.mark.parametrize("labels", [[1, 2], [1.0, 2.0], np.array([2.0, 1.0])])
+def test_labeled_dataset_takes_integer_and_float_labels(labels):
+    data = LabeledDataset(labels, np.zeros((2, 2)))
+    assert data.labels.dtype.kind == "i"
+    np.testing.assert_array_equal(data.labels, labels)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_labeled_dataset_rejects_nonfinite_features(value):
     features = np.zeros((3, 2))
