@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import (_FLOAT_FMT, LabeledDataset, _class_rows, _first_nonfinite_row,
-                       _parse_floats, _unit_rows)
+                       _parse_floats, _unit_rows, _utf8_text)
 from .errors import DegenerateTrace, DimensionMismatch, InvalidParameter, ParseError
 from .moments import MomentSummary
 from .spectral import Projector, complement, sym_eig
@@ -489,5 +489,5 @@ def save_model(clf: EnergyClassifier, path) -> None:
 
 
 def load_model(path) -> EnergyClassifier:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    with open(path, "rb") as fh:
+        return parse_model(_utf8_text(fh.read(), 1))

@@ -15,9 +15,13 @@ import numpy as np
 
 from . import classifier as clf_mod
 from . import datasets as ds_mod
-from .datasets import _FLOAT_FMT, _class_rows, _parse_floats, _read_lines, _row_line
-from .errors import EnergydiscError, ZeroSignal
+from .datasets import _FLOAT_FMT, _class_rows, _parse_floats, _row_line
+from .errors import EnergydiscError, InvalidMatrix, ZeroSignal
 from .moments import estimate_moments
+
+
+# predict writes its labels in blocks of this many lines
+_LABELS_PER_WRITE = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,6 +108,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen_example1(args) -> int:
+    if args.cov is None and not np.isfinite(args.sigma2):
+        # before sigma2 * I, whose inf * 0 would warn
+        raise InvalidMatrix("matrix entries must be finite")
     cov = args.cov if args.cov is not None else args.sigma2 * np.eye(args.n)
     data = ds_mod.gen_example1(args.n, args.m1, args.m2, cov, args.per_class, args.seed)
     ds_mod.save_csv(data, args.out)
@@ -141,8 +148,10 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     model = clf_mod.load_model(args.model)
     data = ds_mod.load_csv(args.data)
-    for label in clf_mod.decide_batch(model, data.features):
-        print(int(label))
+    labels = clf_mod.decide_batch(model, data.features)
+    for start in range(0, len(labels), _LABELS_PER_WRITE):
+        block = labels[start:start + _LABELS_PER_WRITE].tolist()
+        sys.stdout.write("".join(f"{label}\n" for label in block))
     return 0
 
 
@@ -208,7 +217,7 @@ def run(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ZeroSignal as exc:
         # only fit, predict and eval normalize, each every row of --data first
-        line = _row_line(_read_lines(args.data), exc.row)
+        line = _row_line(args.data, exc.row)
         print(f"error: zero vector at line {line} of the data file cannot be "
               "unit-normalized", file=sys.stderr)
         return 2

@@ -8,16 +8,20 @@ signal in white noise versus the noise alone.
 
 CSV layout: UTF-8, '\\n' newlines, mandatory header ``label,x1,...,xn``,
 one sample per row, labels in {1,2}, finite floats written with 17
-significant digits so values survive a round trip exactly. Loading
-converts a well-formed file in one numpy.loadtxt call; any other file
-goes through a line-by-line parser that takes every spelling int() and
-float() take and names the first bad line.
+significant digits so values survive a round trip exactly. Files are
+read and written in blocks of bounded size, so neither the text of a
+file nor its values as Python floats are ever held whole. Loading
+converts each well-formed block in one numpy.loadtxt call; any other
+block goes through a line-by-line parser that takes every spelling
+int() and float() take and names the first bad line.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -178,21 +182,60 @@ def unit_normalized(data: LabeledDataset) -> LabeledDataset:
     return LabeledDataset(data.labels, _unit_rows(data.features))
 
 
+# A CSV file is read in blocks of about this many bytes and written in
+# blocks of about this many floats, so memory does not grow with the rows.
+_READ_BYTES = 1 << 20
+_WRITE_FLOATS = 1 << 16
+
+
 def save_csv(data: LabeledDataset, path) -> None:
     n = data.dim
     header = "label," + ",".join(f"x{i + 1}" for i in range(n))
     row_fmt = "%d," + ",".join([_FLOAT_FMT] * n) + "\n"
+    step = max(1, _WRITE_FLOATS // max(n, 1))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for label, row in zip(data.labels.tolist(), data.features.tolist()):
-            fh.write(row_fmt % (label, *row))
+        for start in range(0, len(data), step):
+            block = slice(start, start + step)
+            for label, row in zip(data.labels[block].tolist(),
+                                  data.features[block].tolist()):
+                fh.write(row_fmt % (label, *row))
 
 
-def _parse_rows(lines: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Parse the data lines one by one, raising at the first bad line."""
+def _utf8_text(data: bytes, first: int) -> str:
+    """`data` decoded as UTF-8, its first line being file line `first`;
+    a byte that is not UTF-8 is a ParseError naming its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # '?' stands for the bad byte, so the last line counted is its line
+        before = data[:exc.start].decode("utf-8") + "?"
+        line = first + len(before.splitlines()) - 1
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line) from exc
+
+
+def _line_blocks(path) -> Iterator[tuple[int, list[str]]]:
+    """(file line number of the first line, lines) for consecutive blocks of
+    about _READ_BYTES of the file at `path`.
+
+    Blocks end at b'\\n', which no UTF-8 character and no line break
+    other than '\\n' contains, so the blocks' str.splitlines() lines are
+    those of the whole text, numbered the same.
+    """
+    first = 1
+    with open(path, "rb") as fh:
+        while block := fh.readlines(_READ_BYTES):
+            lines = _utf8_text(b"".join(block), first).splitlines()
+            yield first, lines
+            first += len(lines)
+
+
+def _parse_rows(lines: list[str], n: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parse data lines one by one, the first being file line `first`,
+    raising at the first bad line."""
     labels: list[int] = []
     rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=first):
         if not line:
             continue
         parts = line.split(",")
@@ -228,27 +271,37 @@ def _parse_table(rows: list[str], n: int) -> tuple[np.ndarray, np.ndarray] | Non
     return table[:, 0].astype(int), np.ascontiguousarray(table[:, 1:])
 
 
-def _read_lines(path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+def _parse_block(lines: list[str], n: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and features of data lines, the first being file line `first`."""
+    parsed = _parse_table([line for line in lines if line], n)
+    return parsed if parsed is not None else _parse_rows(lines, n, first)
 
 
-def _row_line(lines: list[str], row: int) -> int:
+def _row_line(path, row: int) -> int:
     """File line number (1-based, blank lines counted) of data row `row`
-    (0-based), the data rows being the non-empty lines after the header."""
-    return [i for i, line in enumerate(lines[1:], start=2) if line][row]
+    (0-based) of the CSV file at `path`, the data rows being the non-empty
+    lines after the header."""
+    with contextlib.closing(_line_blocks(path)) as blocks:
+        numbers = (lineno for first, lines in blocks
+                   for lineno, line in enumerate(lines, start=first)
+                   if line and lineno > 1)
+        return next(itertools.islice(numbers, row, None))
 
 
 def load_csv(path) -> LabeledDataset:
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError("missing header", 1)
-    n = lines[0].count(",")
-    if n < 1 or lines[0].split(",") != ["label"] + [f"x{i + 1}" for i in range(n)]:
-        raise ParseError(f"bad header {lines[0]!r}", 1)
-    parsed = _parse_table([line for line in lines[1:] if line], n)
-    labels, features = parsed if parsed is not None else _parse_rows(lines, n)
+    with contextlib.closing(_line_blocks(path)) as blocks:
+        _, lines = next(blocks, (1, []))
+        if not lines:
+            raise ParseError("missing header", 1)
+        n = lines[0].count(",")
+        if n < 1 or lines[0].split(",") != ["label"] + [f"x{i + 1}" for i in range(n)]:
+            raise ParseError(f"bad header {lines[0]!r}", 1)
+        # each block is parsed before the next is read
+        parts = [_parse_block(lines[1:], n, 2)]
+        parts += [_parse_block(lines, n, first) for first, lines in blocks]
+    labels = np.concatenate([part[0] for part in parts])
+    features = np.concatenate([part[1] for part in parts])
     bad = _first_nonfinite_row(features)
     if bad is not None:
-        raise ParseError("values must be finite numbers", _row_line(lines, bad))
+        raise ParseError("values must be finite numbers", _row_line(path, bad))
     return LabeledDataset(labels, features)

@@ -544,6 +544,16 @@ def test_model_file_round_trip(tmp_path):
     assert path.read_bytes() == (tmp_path / "again.txt").read_bytes()
 
 
+def test_load_model_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(fit(*gaussian_pair()), path)
+    first, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(first + b"\nmode=r\xe9w\n" + rest)
+    with pytest.raises(ParseError, match="^line 2: invalid UTF-8 byte 0xe9$") as info:
+        load_model(path)
+    assert info.value.line == 2
+
+
 def _sampled_fit(n, mode):
     rng = np.random.default_rng(n)
     data = gen_example2(n, rng.standard_normal(n), 0.7, per_class=200, seed=n)

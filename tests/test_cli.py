@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from energydisc import cli, datasets
 from energydisc import (
     ClassSpec,
+    decide_batch,
     energy_report,
     estimate_moments,
     load_csv,
@@ -88,6 +90,19 @@ def test_fit_and_predict_round_trip(capsys, tmp_path):
     assert out2 == out  # byte-identical reruns
 
 
+@pytest.mark.parametrize("labels_per_write", [7, 1 << 16])
+def test_predict_prints_one_label_line_per_row(capsys, tmp_path, monkeypatch,
+                                               labels_per_write):
+    data = gen_data(capsys, tmp_path, per_class=25)
+    model_path = fit_model(capsys, tmp_path, data)
+    monkeypatch.setattr(cli, "_LABELS_PER_WRITE", labels_per_write)
+    code, out, err = run_cli(capsys, "predict", "--model", str(model_path),
+                             "--data", str(data))
+    assert code == 0, err
+    labels = decide_batch(load_model(model_path), load_csv(data).features)
+    assert out == "".join(f"{int(label)}\n" for label in labels)
+
+
 def test_fit_priors_from_data(capsys, tmp_path):
     path = tmp_path / "skew.csv"
     path.write_text(
@@ -145,6 +160,32 @@ def test_unit_zero_row_line_counts_blank_lines(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert "zero vector at line 5" in err
+
+
+def test_unit_zero_row_line_counts_lines_across_read_blocks(capsys, tmp_path, monkeypatch):
+    bad = tmp_path / "bad.csv"
+    # lines: header, 1,1,0, blank, 2,0.5,1 ended by \x0b, blank, 1,0,0
+    bad.write_text("label,x1,x2\n1,1,0\n\n2,0.5,1\x0b\n1,0,0\n", encoding="utf-8")
+    monkeypatch.setattr(datasets, "_READ_BYTES", 1)
+    code, out, err = run_cli(capsys, "fit", "--mode", "unit", "--out",
+                             str(tmp_path / "m.txt"), "--data", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "zero vector at line 6" in err
+
+
+@pytest.mark.parametrize("where", ["data", "model"])
+def test_bytes_that_are_not_utf8_exit_2_naming_the_line(capsys, tmp_path, where):
+    data = gen_data(capsys, tmp_path)
+    model_path = fit_model(capsys, tmp_path, data)
+    path = data if where == "data" else model_path
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:2]) + b"\xff" + b"".join(lines[2:]))
+    code, out, err = run_cli(capsys, "predict", "--model", str(model_path),
+                             "--data", str(data))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 3: invalid UTF-8 byte 0xff\n"
 
 
 def test_predict_empty_data(capsys, tmp_path):
@@ -324,6 +365,18 @@ def test_bad_generator_sizes_exit_without_traceback(capsys, tmp_path, argv, code
     assert got == code
     assert out == ""
     assert "error:" in err and "Traceback" not in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("sigma2", ["inf", "nan"])
+def test_gen_example1_nonfinite_sigma2_prints_only_the_error(capsys, tmp_path, sigma2):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run_cli(capsys, "gen-example1", "--n", "2", "--m1", "1,0", "--m2",
+                             "0,1", "--sigma2", sigma2, "--per-class", "3", "--seed", "0",
+                             "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: matrix entries must be finite\n"
     assert not out_path.exists()
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from energydisc import datasets
 from energydisc import (
     DimensionMismatch,
     InvalidParameter,
@@ -216,7 +217,7 @@ def test_csv_tolerates_blank_lines(tmp_path):
 
 def _load_outcome(tmp_path, text):
     path = tmp_path / "edge.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     try:
         data = load_csv(path)
     except ParseError as exc:
@@ -224,7 +225,7 @@ def _load_outcome(tmp_path, text):
     return data.labels.tolist(), data.features.tolist()
 
 
-@pytest.mark.parametrize("text, expected", [
+_EDGE_CASES = [
     # blank lines are skipped, and line numbers still count them
     pytest.param("label,x1\n\n1,2.0\n\n\n2,3.0\n", ([1, 2], [[2.0], [3.0]]), id="blank"),
     pytest.param("label,x1\n\n1,2.0\n\n2,x\n", (ParseError, 5), id="blank-then-bad"),
@@ -256,6 +257,58 @@ def _load_outcome(tmp_path, text):
                    (ParseError, 6), id=f"nonfinite-{v}")
       for v in ("nan", "NaN", "inf", "-inf", "Infinity", "1e400")],
     pytest.param("label,x1\n1,nan\n2,x\n", (ParseError, 3), id="nonfinite-then-bad"),
-])
+]
+
+
+@pytest.mark.parametrize("text, expected", _EDGE_CASES)
 def test_csv_edge_cases(tmp_path, text, expected):
     assert _load_outcome(tmp_path, text) == expected
+
+
+# Files of several lines, each construct after the first data line, so that
+# small read blocks put a block edge right before or after it.
+_BLOCK_EDGE_CASES = [
+    pytest.param("label,x1\n1,1\n\n\n2,2\n\n1,3\n", ([1, 2, 1], [[1.0], [2.0], [3.0]]),
+                 id="blank-lines"),
+    pytest.param("label,x1\r\n1,1\r\n\r\n2,2\r\n2,x\r\n", (ParseError, 5), id="crlf"),
+    # str.splitlines() also ends a line at \x0b, \x85 and \u2028
+    pytest.param("label,x1\n1,1\x0b2,2\n\u20281,3\x85\n", ([1, 2, 1], [[1.0], [2.0], [3.0]]),
+                 id="other-breaks"),
+    pytest.param("label,x1\n1,1\x0b2,2\n1,3\x852,x\n", (ParseError, 5),
+                 id="other-breaks-then-bad"),
+    pytest.param("label,x1\n1,1\n2,2\n1,1_0\n2,4\n", ([1, 2, 1, 2], [[1.0], [2.0], [10.0], [4.0]]),
+                 id="underscore-later"),
+    pytest.param("label,x1\n1,1\n2,2\n\n1,inf\n2,3\n", (ParseError, 5), id="nonfinite-later"),
+    pytest.param("label,x1\n1,nan\n2,2\n\n2,x\n", (ParseError, 5), id="nonfinite-then-bad-later"),
+    pytest.param("label,x1,x2\n1,1,2\n2,3,4\n1,5\n", (ParseError, 4), id="field-count-later"),
+    pytest.param("label,x1\n1,1\n2,2\n3,3\n", (LabelError, 4), id="label-later"),
+    # a byte that is not UTF-8 is a ParseError naming its line
+    pytest.param(b"label,x1\n1,1.0\n2,\xff\n", (ParseError, 3), id="not-utf8"),
+    pytest.param(b"label,x\xe91\n1,1.0\n", (ParseError, 1), id="not-utf8-header"),
+    pytest.param(b"label,x1\n1,1\xc2\x852,\xff\n", (ParseError, 3), id="not-utf8-after-x85"),
+    pytest.param(b"label,x1\n1,1\n2,\xe2\x80", (ParseError, 3), id="not-utf8-truncated"),
+]
+
+
+@pytest.mark.parametrize("text, expected", _BLOCK_EDGE_CASES)
+def test_csv_block_edge_cases(tmp_path, text, expected):
+    assert _load_outcome(tmp_path, text) == expected
+
+
+@pytest.mark.parametrize("read_bytes", [1, 12])
+@pytest.mark.parametrize("text, expected", _EDGE_CASES + _BLOCK_EDGE_CASES)
+def test_csv_reads_the_same_in_small_blocks(monkeypatch, tmp_path, text, expected,
+                                            read_bytes):
+    # 1 byte makes every '\n'-ended line a block of its own
+    monkeypatch.setattr(datasets, "_READ_BYTES", read_bytes)
+    assert _load_outcome(tmp_path, text) == expected
+
+
+@pytest.mark.parametrize("write_floats", [1, 7])
+def test_csv_writes_the_same_in_small_blocks(monkeypatch, tmp_path, write_floats):
+    data = gen_example2(3, [0.3, -1.7, 2.5], 1.5, per_class=5, seed=21)
+    save_csv(data, tmp_path / "one.csv")
+    monkeypatch.setattr(datasets, "_WRITE_FLOATS", write_floats)
+    save_csv(data, tmp_path / "small.csv")
+    assert (tmp_path / "small.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert load_csv(tmp_path / "small.csv").features.tolist() == data.features.tolist()

@@ -5,8 +5,9 @@ Each example applies at most two single-character edits (insert, delete
 or replace, from the characters numbers and fields are written with) to
 a valid n=3 model text of a drawn mode and to a valid 3-column CSV. A
 reader must return or raise an EnergydiscError, and `cli.run` must
-return 0, 1 or 2 without raising. Two edits keep a mutated `n` below
-1000. Hypothesis draws from a fixed seed (`derandomize=True`).
+return 0, 1 or 2 without raising. A mutated CSV read one line per block
+gives the same arrays or the same error as read in one block. Two edits
+keep a mutated `n` below 1000. Hypothesis draws from a fixed seed (`derandomize=True`).
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import functools
 import io
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -21,6 +23,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from energydisc import datasets  # noqa: E402
 from energydisc import (  # noqa: E402
     ClassSpec,
     EnergydiscError,
@@ -100,6 +103,25 @@ def test_mutated_csv_loads_or_raises_a_typed_error(text):
             load_csv(path)
         except EnergydiscError:
             pass
+
+
+def _load_outcome(path):
+    try:
+        data = load_csv(path)
+    except EnergydiscError as exc:
+        return type(exc), str(exc)
+    return data.labels.tolist(), data.features.tolist()
+
+
+@FUZZ
+@given(csv_texts())
+def test_mutated_csv_loads_the_same_in_one_line_blocks(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        whole = _load_outcome(path)
+        with mock.patch.object(datasets, "_READ_BYTES", 1):
+            assert _load_outcome(path) == whole
 
 
 @FUZZ_CLI
