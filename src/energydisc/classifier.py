@@ -330,7 +330,7 @@ def snr(a, sigma2: float, n: int | None = None) -> float:
         n = a.shape[0]
     if not 0.0 < sigma2 < np.inf:  # NaN fails both comparisons
         raise InvalidParameter("noise variance must be finite and positive")
-    if n < 1:
+    if not n >= 1:  # NaN fails the comparison
         raise InvalidParameter("dimension must be at least 1")
     return float(a @ a) / (n * sigma2)
 

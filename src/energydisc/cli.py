@@ -16,7 +16,7 @@ import numpy as np
 from . import classifier as clf_mod
 from . import datasets as ds_mod
 from .datasets import _FLOAT_FMT, _class_rows, _parse_floats, _row_line
-from .errors import EnergydiscError, InvalidMatrix, ZeroSignal
+from .errors import EnergydiscError, ZeroSignal
 from .moments import estimate_moments
 
 
@@ -108,10 +108,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen_example1(args) -> int:
-    if args.cov is None and not np.isfinite(args.sigma2):
-        # before sigma2 * I, whose inf * 0 would warn
-        raise InvalidMatrix("matrix entries must be finite")
-    cov = args.cov if args.cov is not None else args.sigma2 * np.eye(args.n)
+    cov = args.cov if args.cov is not None else np.diag(np.full(args.n, args.sigma2))
     data = ds_mod.gen_example1(args.n, args.m1, args.m2, cov, args.per_class, args.seed)
     ds_mod.save_csv(data, args.out)
     print(f"wrote {len(data)} rows")

@@ -76,7 +76,10 @@ class LabeledDataset:
 
     def __post_init__(self):
         labels = np.asarray(self.labels)
-        features = np.asarray(self.features, dtype=float)
+        try:
+            features = np.asarray(self.features, dtype=float)
+        except (ValueError, TypeError) as exc:  # ragged rows or non-numbers
+            raise DimensionMismatch("features must be a 2-d array of row vectors") from exc
         if features.ndim != 2:
             raise DimensionMismatch("features must be a 2-d array of row vectors")
         if labels.ndim != 1 or labels.shape[0] != features.shape[0]:

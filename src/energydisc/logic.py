@@ -28,11 +28,12 @@ P + Q or Q - P:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidParameter
 from .spectral import Projector, complement
 
 # Absolute cutoff on the spectrum of P + Q, which lives in [0, 2], on
@@ -46,13 +47,23 @@ def _check_same_dim(p: Projector, q: Projector) -> None:
 
 
 def membership(p: Projector, x) -> float:
-    """Energy of x passed by P: <Px,x> = ||U^T x||^2, always within [0, ||x||^2]."""
+    """Energy of x passed by P: <Px,x> = ||U^T x||^2, always within [0, ||x||^2].
+
+    Raises:
+        DimensionMismatch: x is not a vector of length dim.
+        InvalidParameter: x holds nan or inf.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != p.dim:
         raise DimensionMismatch(f"vector of length {x.shape} vs dim {p.dim}")
+    norm2 = float(x @ x)
+    # ||x||^2 is finite unless x holds nan or inf or the sum overflows;
+    # only then are the entries themselves looked at
+    if not math.isfinite(norm2) and not np.all(np.isfinite(x)):
+        raise InvalidParameter("vector entries must be finite")
     c = p.basis.T @ x
     # a sum of squares keeps the value nonnegative; cap at ||x||^2 against roundoff
-    return min(float(c @ c), float(x @ x))
+    return min(float(c @ c), norm2)
 
 
 def meet(p: Projector, q: Projector) -> Projector:

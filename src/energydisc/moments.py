@@ -26,7 +26,8 @@ _PSD_RTOL = 1e-9
 def _check_psd(covariance: np.ndarray, smallest: float) -> None:
     """Raise NotPSD if `smallest`, the least eigenvalue of `covariance`, is
     below -1e-9 * max(1, tr covariance)."""
-    if smallest < -_PSD_RTOL * max(1.0, float(np.trace(covariance))):
+    # the diagonal is scaled before the sum, which then cannot overflow
+    if smallest < -max(_PSD_RTOL, float(np.sum(_PSD_RTOL * np.diagonal(covariance)))):
         raise NotPSD(f"covariance has eigenvalue {smallest}")
 
 

@@ -31,18 +31,26 @@ _SIGN_EPS = 1e-12
 def sym_matrix(entries: Iterable) -> np.ndarray:
     """Build an n-by-n real symmetric matrix.
 
-    The input is symmetrized as (M + M^T)/2, so callers may pass a
-    matrix that is symmetric only up to roundoff.
+    The input is symmetrized as M/2 + M^T/2, so callers may pass a
+    matrix that is symmetric only up to roundoff; halving first keeps
+    the sum finite for every finite input. An exactly symmetric input
+    comes back unchanged, bit for bit.
 
     Raises:
-        InvalidMatrix: non-square input or non-finite entries.
+        InvalidMatrix: input that is not a rectangular array of real
+            numbers, non-square input or non-finite entries.
     """
-    m = np.array(entries, dtype=float)
+    try:
+        m = np.array(entries, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise InvalidMatrix("matrix must be a rectangular array of real numbers") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidMatrix(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidMatrix("matrix entries must be finite")
-    return (m + m.T) / 2.0
+    if np.array_equal(m, m.T):
+        return m
+    return m / 2.0 + m.T / 2.0
 
 
 class EigenDecomposition(NamedTuple):
@@ -74,41 +82,37 @@ def sym_eig(matrix: Iterable) -> EigenDecomposition:
     return EigenDecomposition(values, np.where(flip, -vectors, vectors))
 
 
-def _eigen_split(matrix: np.ndarray, rank: int) -> np.ndarray:
-    """Orthonormal basis of the range of an orthogonal projection matrix,
-    taken from its `sym_eig`.
-
-    Raises:
-        InvalidMatrix: the matrix is not symmetric and idempotent within
-            1e-9, its trace is not `rank` within 1e-8, or `rank` is not a
-            whole number.
-    """
-    m = matrix
-    # P P^T = P holds exactly for symmetric idempotent P, so one product
-    # checks both; written as not (err <= tol) so that NaN entries fail
-    if not np.max(np.abs(m @ m.T - m), initial=0.0) <= _PROJ_ATOL:
-        raise InvalidMatrix("projector matrix is not an orthogonal projection")
-    if not abs(np.trace(m) - rank) <= _RANK_ATOL:
-        raise InvalidMatrix("projector trace does not match rank")
-    k = int(rank)
-    if k != rank:
-        raise InvalidMatrix(f"projector rank {rank} is not a whole number")
-    return sym_eig(m).eigenvectors[:, :k]  # eigenvalue 1 first, then 0
-
-
 class Projector:
     """Orthogonal projection P = U U^T, represented by U (n-by-k), whose
     orthonormal columns span the range; rank and dim are U's shape.
 
-    `Projector(matrix, rank)` validates a symmetric idempotent matrix and
-    takes U from its eigendecomposition; `matrix` then returns the given
-    matrix. Every projector the package builds itself is made from a
-    basis, and its `matrix` is U U^T, formed on first use and cached.
+    `Projector(matrix, rank)` takes U from the `sym_eig` of a matrix and
+    then checks that the matrix is symmetric and idempotent within 1e-9
+    and that its trace is `rank` within 1e-8; `matrix` then returns the
+    given matrix as a float array. Every projector the package builds
+    itself is made from a basis, and its `matrix` is `sym_matrix(U U^T)`,
+    formed on first use and cached.
+
+    Raises (constructor):
+        InvalidMatrix: the matrix is rejected by `sym_eig`, it is not an
+            orthogonal projection of trace `rank`, or `rank` is not a
+            whole number.
     """
 
-    def __init__(self, matrix: np.ndarray, rank: int):
-        self._basis = _eigen_split(matrix, rank)
-        self._matrix = matrix
+    def __init__(self, matrix: Iterable, rank: int):
+        vectors = sym_eig(matrix).eigenvectors  # eigenvalue 1 first, then 0
+        m = np.array(matrix, dtype=float)  # cannot fail once sym_eig took it
+        # P P^T = P holds exactly for symmetric idempotent P, so one product
+        # checks both; written as not (err <= tol) so that NaN fails
+        if not np.max(np.abs(m @ m.T - m), initial=0.0) <= _PROJ_ATOL:
+            raise InvalidMatrix("projector matrix is not an orthogonal projection")
+        if not abs(np.trace(m) - rank) <= _RANK_ATOL:
+            raise InvalidMatrix("projector trace does not match rank")
+        k = int(rank)
+        if k != rank:
+            raise InvalidMatrix(f"projector rank {rank} is not a whole number")
+        self._basis = vectors[:, :k]
+        self._matrix = m
 
     @classmethod
     def _from_basis(cls, basis: np.ndarray) -> "Projector":
@@ -138,8 +142,7 @@ class Projector:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            m = self._basis @ self._basis.T
-            self._matrix = 0.5 * (m + m.T)
+            self._matrix = sym_matrix(self._basis @ self._basis.T)
         return self._matrix
 
     def __repr__(self) -> str:

@@ -444,8 +444,12 @@ def test_snr_values_and_errors():
     assert snr([2.0, 0.0], 1.0, n=4) == pytest.approx(1.0)
     with pytest.raises(InvalidParameter):
         snr([1.0], 0.0)
-    with pytest.raises(InvalidParameter):
-        snr([1.0], 1.0, n=0)
+
+
+@pytest.mark.parametrize("n", [0, -1, np.nan, float("-inf")])
+def test_snr_rejects_a_bad_dimension(n):
+    with pytest.raises(InvalidParameter, match="dimension must be at least 1"):
+        snr([1.0], 1.0, n=n)
 
 
 @pytest.mark.parametrize("signal", [[np.nan], [1.0, np.inf]])
@@ -854,6 +858,15 @@ def test_v1_model_p2_is_the_complement_of_p1():
     clf, _ = _sampled_fit(8, NormalizationMode.RAW)
     back = parse_model(format_model_v1(clf))
     np.testing.assert_array_equal(back.proj2.basis, complement(back.proj1).basis)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_parse_model_rejects_a_dimension_below_one(version, n):
+    clf = fit(*gaussian_pair())
+    text = format_model_v1(clf) if version == 1 else format_model(clf)
+    with pytest.raises(ParseError, match=f"^n={n} must be at least 1$"):
+        parse_model(_replace_field(text, "n", n))
 
 
 def test_parse_model_v1_checks_p1_entry_count():

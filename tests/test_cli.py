@@ -380,6 +380,15 @@ def test_gen_example1_nonfinite_sigma2_prints_only_the_error(capsys, tmp_path, s
     assert not out_path.exists()
 
 
+def test_gen_example1_takes_the_largest_sigma2_quietly(capsys, tmp_path):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run_cli(capsys, "gen-example1", "--n", "2", "--m1", "1,0", "--m2",
+                             "0,1", "--sigma2", "1e308", "--per-class", "2", "--seed", "0",
+                             "--out", str(out_path))
+    assert (code, out, err) == (0, "wrote 4 rows\n", "")
+    assert len(load_csv(out_path)) == 4
+
+
 @pytest.mark.parametrize("argv", [
     ["gen-example2", "--n", "2", "--a", "1,0", "--sigma2", "nan"],
     ["gen-example2", "--n", "2", "--a", "1,0", "--sigma2", "inf"],

@@ -4,6 +4,7 @@ import pytest
 from energydisc import (
     DimensionMismatch,
     FuzzyProposition,
+    InvalidParameter,
     Projector,
     complement,
     identity_projector,
@@ -42,6 +43,16 @@ def test_membership_bounds():
         x = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
         mu = membership(p, x)
         assert 0.0 <= mu <= float(x @ x)
+
+
+@pytest.mark.parametrize("x", [[np.nan, 2.0], [2.0, np.inf], [-np.inf, np.nan]])
+@pytest.mark.parametrize("p", [E1, zero_projector(2), identity_projector(2)],
+                         ids=["rank1", "zero", "identity"])
+def test_membership_rejects_nonfinite_vectors(p, x):
+    with pytest.raises(InvalidParameter, match="finite"):
+        membership(p, x)
+    with pytest.raises(InvalidParameter, match="finite"):
+        FuzzyProposition(p).membership(x)
 
 
 def test_membership_dimension_check():

@@ -128,3 +128,12 @@ def test_expected_quadratic_linear_in_matrix():
     lhs = expected_quadratic(a + b, k)
     rhs = expected_quadratic(a, k) + expected_quadratic(b, k)
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
+
+
+def test_analytic_moments_take_the_largest_finite_covariance():
+    # the PSD tolerance scales with the trace, which overflows as a plain sum
+    big = 1.7976931348623157e308
+    summary = analytic_moments([0.0, 0.0], np.diag([big, big]))
+    np.testing.assert_array_equal(summary.covariance, np.diag([big, big]))
+    with pytest.raises(NotPSD):
+        analytic_moments([0.0, 0.0], [[big, 0.0], [0.0, -big]])

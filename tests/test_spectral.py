@@ -4,8 +4,12 @@ import pytest
 from energydisc import (
     DimensionMismatch,
     InvalidMatrix,
+    LabeledDataset,
     Projector,
+    analytic_moments,
     complement,
+    expected_quadratic,
+    gen_example1,
     identity_projector,
     projector_from_basis,
     sym_eig,
@@ -41,6 +45,43 @@ def test_sym_matrix_rejects_nonfinite():
 def test_sym_matrix_rejects_nonsquare():
     with pytest.raises(InvalidMatrix):
         sym_matrix([[1.0, 2.0, 3.0]])
+
+
+def test_sym_matrix_returns_a_symmetric_input_bit_for_bit():
+    tiny = np.nextafter(0.0, 1.0)  # the least subnormal, which halving loses
+    m = np.array([[1.7976931348623157e308, -0.0, tiny],
+                  [-0.0, 0.1, -3.0],
+                  [tiny, -3.0, -1e308]])
+    out = sym_matrix(m)
+    assert out.tobytes() == m.tobytes()
+    assert out is not m
+
+
+def test_sym_matrix_averages_an_asymmetric_input_without_overflow():
+    big = 1.7976931348623157e308
+    out = sym_matrix([[big, big], [big / 2.0, -big]])
+    np.testing.assert_array_equal(out, [[big, 0.75 * big], [0.75 * big, -big]])
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 16):
+        m = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
+        assert sym_matrix(m).tobytes() == ((m + m.T) / 2.0).tobytes()
+
+
+@pytest.mark.parametrize("bad", [[[1, 2], [3]], [["a"]]])
+@pytest.mark.parametrize("call, error", [
+    (sym_matrix, InvalidMatrix),
+    (sym_eig, InvalidMatrix),
+    (lambda bad: Projector(bad, 1), InvalidMatrix),
+    (lambda bad: analytic_moments([0.0, 0.0], bad), InvalidMatrix),
+    (lambda bad: gen_example1(2, [1.0, 0.0], [0.0, 1.0], bad, 1, 0), InvalidMatrix),
+    (lambda bad: expected_quadratic(bad, np.eye(2)), InvalidMatrix),
+    (lambda bad: expected_quadratic(np.eye(2), bad), InvalidMatrix),
+    (lambda bad: LabeledDataset([1, 2], bad), DimensionMismatch),
+], ids=["sym_matrix", "sym_eig", "Projector", "analytic_moments", "gen_example1",
+        "expected_quadratic_a", "expected_quadratic_k", "LabeledDataset"])
+def test_unconvertible_matrices_raise_typed_errors(call, error, bad):
+    with pytest.raises(error):
+        call(bad)
 
 
 def test_eig_already_diagonal():
@@ -196,6 +237,35 @@ def test_projector_from_basis_rejects_a_conflicting_dim():
 def test_projector_constructor_rejects_nan():
     with pytest.raises(InvalidMatrix):
         Projector(np.full((2, 2), np.nan), 1)
+
+
+def test_projector_constructor_takes_a_list_and_stores_an_array():
+    p = Projector([[1.0, 0.0], [0.0, 0.0]], 1)
+    assert isinstance(p.matrix, np.ndarray)
+    np.testing.assert_array_equal(p.matrix, [[1.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(p.basis, [[1.0], [0.0]])
+
+
+@pytest.mark.parametrize("matrix", [np.eye(2, 3), np.diag([1.0, np.inf])])
+def test_projector_constructor_refuses_what_the_gate_refuses(matrix):
+    with pytest.raises(InvalidMatrix):
+        Projector(matrix, 1)
+
+
+def test_projector_constructor_takes_the_basis_of_sym_eig():
+    rng = np.random.default_rng(43)
+    for n in (1, 3, 8):
+        for rank in range(n + 1):
+            m = random_projector(rng, n, rank).matrix
+            p = Projector(m, rank)
+            assert p.basis.tobytes() == sym_eig(m).eigenvectors[:, :rank].tobytes()
+            assert p.matrix.tobytes() == m.tobytes()
+
+
+def test_projector_repr():
+    assert repr(projector_from_basis([np.array([1.0, 0.0, 0.0])])) == \
+        "Projector(dim=3, rank=1)"
+    assert repr(zero_projector(2)) == "Projector(dim=2, rank=0)"
 
 
 def test_projector_from_basis_rejects_nonfinite():
