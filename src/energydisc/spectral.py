@@ -28,6 +28,15 @@ _RANK_ATOL = 1e-8
 _SIGN_EPS = 1e-12
 
 
+def _float_array(entries: Iterable) -> np.ndarray:
+    """A new float array of the entries; InvalidMatrix if they are ragged
+    or not real numbers."""
+    try:
+        return np.array(entries, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise InvalidMatrix("matrix must be a rectangular array of real numbers") from exc
+
+
 def sym_matrix(entries: Iterable) -> np.ndarray:
     """Build an n-by-n real symmetric matrix.
 
@@ -40,10 +49,7 @@ def sym_matrix(entries: Iterable) -> np.ndarray:
         InvalidMatrix: input that is not a rectangular array of real
             numbers, non-square input or non-finite entries.
     """
-    try:
-        m = np.array(entries, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise InvalidMatrix("matrix must be a rectangular array of real numbers") from exc
+    m = _float_array(entries)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidMatrix(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -100,8 +106,8 @@ class Projector:
     """
 
     def __init__(self, matrix: Iterable, rank: int):
-        vectors = sym_eig(matrix).eigenvectors  # eigenvalue 1 first, then 0
-        m = np.array(matrix, dtype=float)  # cannot fail once sym_eig took it
+        m = _float_array(matrix)
+        vectors = sym_eig(m).eigenvectors  # eigenvalue 1 first, then 0
         # P P^T = P holds exactly for symmetric idempotent P, so one product
         # checks both; written as not (err <= tol) so that NaN fails
         if not np.max(np.abs(m @ m.T - m), initial=0.0) <= _PROJ_ATOL:
