@@ -30,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import (_FLOAT_FMT, LabeledDataset, _class_rows, _first_nonfinite_row,
-                       _parse_floats, _unit_rows, _utf8_text)
-from .errors import DegenerateTrace, DimensionMismatch, InvalidParameter, ParseError
+from .datasets import (_FLOAT_FMT, LabeledDataset, _first_nonfinite_row, _parse_floats,
+                       _unit_rows, _utf8_text)
+from .errors import (DegenerateTrace, DimensionMismatch, EmptyClass, InvalidParameter,
+                     ParseError)
 from .moments import MomentSummary
 from .spectral import Projector, complement, sym_eig
 
@@ -259,6 +260,69 @@ def energy_report(clf: EnergyClassifier, class1: ClassSpec, class2: ClassSpec) -
     )
 
 
+class _SampleSums:
+    """Per-class sums of one scoring pass over labeled rows, added one
+    block at a time, each list indexed by class - 1: the row count, the
+    sums of g_i and of the indicator of a correct decision, and the mean
+    and squared deviation M2 of the energy kept by correct decisions,
+    which merge by the pairwise update of Chan, Golub & LeVeque (Amer.
+    Statistician 1983); also the rows and hits of both classes. A sum of
+    one block gives `_sample_functionals`'s floats.
+    """
+
+    def __init__(self, clf: EnergyClassifier):
+        self.clf = clf
+        self.rows = self.hits = 0
+        self.count = [0, 0]
+        self.g = [0.0, 0.0]
+        self.won = [0.0, 0.0]
+        self.kept = [0.0, 0.0]
+        self.m2 = [0.0, 0.0]
+
+    def add(self, labels: np.ndarray, features: np.ndarray) -> None:
+        g1, g2 = discriminants(self.clf, features)
+        hits = _labels(g1, g2) == labels
+        self.rows += hits.size
+        self.hits += int(np.count_nonzero(hits))
+        scored = np.column_stack((g1, g2, hits))
+        for i in range(2):
+            g1, g2, won = scored[labels == i + 1].T
+            k, count = won.size, self.count[i]
+            if k == 0:
+                continue
+            g = (g1, g2)[i]
+            kept = g * won  # the energy of the rows decided correctly
+            mean = float(kept.mean())
+            m2 = float(np.sum(np.square(kept - mean)))
+            self.count[i] = total = count + k
+            self.g[i] += float(g.sum())
+            self.won[i] += float(won.sum())
+            if count == 0:
+                self.kept[i], self.m2[i] = mean, m2
+            else:
+                delta = mean - self.kept[i]
+                self.kept[i] += delta * (k / total)
+                self.m2[i] += m2 + delta * delta * (count * k / total)
+
+    def functionals(self, priors: tuple[float, float]) -> tuple[float, ...]:
+        """(quality, indicator quality, region energy, its standard error,
+        accuracy) with these class priors; a class is skipped, and may be
+        absent, only if its prior is zero (EmptyClass otherwise)."""
+        quality = indicator = region = variance = 0.0
+        for i, prior in enumerate(priors):
+            if prior == 0.0:
+                continue
+            count = self.count[i]
+            if count == 0:
+                raise EmptyClass(f"no samples with label {i + 1}")
+            quality += prior * (self.g[i] / count)
+            indicator += prior * (self.won[i] / count)
+            region += prior * self.kept[i]
+            if count > 1:
+                variance += prior**2 * (self.m2[i] / (count - 1)) / count
+        return quality, indicator, region, float(np.sqrt(variance)), self.hits / self.rows
+
+
 def _sample_functionals(clf: EnergyClassifier, data: LabeledDataset,
                         priors: tuple[float, float]) -> tuple[float, ...]:
     """The sample functionals of one scoring pass over labeled data, as
@@ -270,22 +334,9 @@ def _sample_functionals(clf: EnergyClassifier, data: LabeledDataset,
     p1, p2 = float(priors[0]), float(priors[1])
     if not (p1 >= 0.0 and p2 >= 0.0 and abs(p1 + p2 - 1.0) <= 1e-12):  # NaN fails
         raise InvalidParameter("priors must be nonnegative and sum to 1")
-    g1, g2 = discriminants(clf, data.features)
-    hits = _labels(g1, g2) == data.labels
-    scored = np.column_stack((g1, g2, hits))
-    quality = indicator = region = variance = 0.0
-    for label, prior in ((1, p1), (2, p2)):
-        if prior == 0.0:
-            continue
-        g1, g2, won = _class_rows(data.labels, scored, label).T
-        g = (g1, g2)[label - 1]
-        kept = g * won  # the energy of the rows decided correctly
-        quality += prior * float(g.mean())
-        indicator += prior * float(won.mean())
-        region += prior * float(kept.mean())
-        if kept.size > 1:
-            variance += prior**2 * float(kept.var(ddof=1)) / kept.size
-    return quality, indicator, region, float(np.sqrt(variance)), float(np.mean(hits))
+    sums = _SampleSums(clf)
+    sums.add(data.labels, data.features)
+    return sums.functionals((p1, p2))
 
 
 def empirical_quality(
@@ -467,7 +518,10 @@ def parse_model(text: str) -> EnergyClassifier:
         raise ParseError(f"mean1, mean2 and spectrum must have length dim={n}")
     if version == "1":
         p1_matrix = entries.reshape(n, n)
-        proj1 = Projector(p1_matrix, int(round(float(np.trace(p1_matrix)))))
+        # entries outside [-1, 1] make Projector refuse the matrix whatever
+        # the rank; clipped, they cannot make the trace overflow
+        rank = int(round(float(np.sum(np.clip(np.diagonal(p1_matrix), -1.0, 1.0)))))
+        proj1 = Projector(p1_matrix, rank)
         proj2 = complement(proj1)
     else:
         proj1, proj2 = _pair_from_smaller_basis(entries.reshape(n, cols), rank1)

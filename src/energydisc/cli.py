@@ -4,6 +4,14 @@ Subcommands: gen-example1, gen-example2, fit, predict, eval, spectrum.
 Results go to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 usage error, 2 data or model error. All numeric output uses 17
 significant digits, so identical inputs give byte-identical outputs.
+
+Each command that reads a data file makes one pass over its parsed
+blocks and never holds the feature array: `fit` and `eval` add each
+block to a running moment sum per class, `eval` also to the sums of its
+sample functionals, and `predict` keeps one byte per row for the labels
+it prints once the whole file has parsed. `gen-example2` writes its rows
+block by block as they are drawn. Errors come in the order that reading
+the whole file first would give them.
 """
 
 from __future__ import annotations
@@ -15,9 +23,9 @@ import numpy as np
 
 from . import classifier as clf_mod
 from . import datasets as ds_mod
-from .datasets import _FLOAT_FMT, _class_rows, _parse_floats, _row_line
-from .errors import EnergydiscError, ZeroSignal
-from .moments import estimate_moments
+from .datasets import _FLOAT_FMT, _parse_floats, _row_line, _unit_rows
+from .errors import EmptyClass, EnergydiscError, ZeroSignal
+from .moments import _MomentSum
 
 
 # predict writes its labels in blocks of this many lines
@@ -116,26 +124,38 @@ def _cmd_gen_example1(args) -> int:
 
 
 def _cmd_gen_example2(args) -> int:
-    data = ds_mod.gen_example2(args.n, args.a, args.sigma2, args.per_class, args.seed)
-    ds_mod.save_csv(data, args.out)
-    print(f"wrote {len(data)} rows")
+    blocks = ds_mod._example2_blocks(args.n, args.a, args.sigma2, args.per_class, args.seed)
+    rows = 2 * args.per_class
+    ds_mod._check_room(args.out, rows, args.n)
+    ds_mod.save_csv(blocks, args.out)
+    print(f"wrote {rows} rows")
     return 0
 
 
-def _class_moments(data: ds_mod.LabeledDataset, mode):
-    """Moments of class 1 and class 2, from unit-normalized rows in unit
-    mode; EmptyClass names a label without rows."""
+def _add_class_rows(sums, labels, features, mode) -> None:
+    """Add the rows of one block, unit-normalized in unit mode, to the
+    moment sums of class 1 and class 2."""
     if mode is clf_mod.NormalizationMode.UNIT:
-        data = ds_mod.unit_normalized(data)
-    return tuple(estimate_moments(_class_rows(data.labels, data.features, label))
-                 for label in (1, 2))
+        features = _unit_rows(features)
+    for label, total in zip((1, 2), sums):
+        total.add(features[labels == label])
+
+
+def _class_moments(sums):
+    """The moments of class 1 and class 2; EmptyClass names a label without rows."""
+    for label, total in zip((1, 2), sums):
+        if total.count == 0:
+            raise EmptyClass(f"no samples with label {label}")
+    return tuple(total.summary() for total in sums)
 
 
 def _cmd_fit(args) -> int:
     mode = clf_mod.NormalizationMode(args.mode)
-    data = ds_mod.load_csv(args.data)
-    mom1, mom2 = _class_moments(data, mode)
-    p1 = mom1.count / len(data) if args.priors_from_data else args.p1
+    sums = (_MomentSum(), _MomentSum())
+    rows = ds_mod._feed_csv(
+        args.data, lambda labels, features: _add_class_rows(sums, labels, features, mode))
+    mom1, mom2 = _class_moments(sums)
+    p1 = mom1.count / rows if args.priors_from_data else args.p1
     model = clf_mod.fit(clf_mod.ClassSpec(p1, mom1), clf_mod.ClassSpec(1.0 - p1, mom2), mode)
     clf_mod.save_model(model, args.out)
     print(f"wrote {args.out}")
@@ -144,8 +164,10 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = clf_mod.load_model(args.model)
-    data = ds_mod.load_csv(args.data)
-    labels = clf_mod.decide_batch(model, data.features)
+    blocks = []
+    ds_mod._feed_csv(args.data, lambda labels, features: blocks.append(
+        clf_mod.decide_batch(model, features).astype(np.uint8)))
+    labels = np.concatenate(blocks)
     for start in range(0, len(labels), _LABELS_PER_WRITE):
         block = labels[start:start + _LABELS_PER_WRITE].tolist()
         sys.stdout.write("".join(f"{label}\n" for label in block))
@@ -154,13 +176,20 @@ def _cmd_predict(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = clf_mod.load_model(args.model)
-    data = ds_mod.load_csv(args.data)
-    mom1, mom2 = _class_moments(data, model.mode)
+    sums = (_MomentSum(), _MomentSum())
+    scores = clf_mod._SampleSums(model)
+
+    def feed(labels, features):
+        _add_class_rows(sums, labels, features, model.mode)
+        if features.shape[1] == model.dim:  # else energy_report refuses the moments
+            scores.add(labels, features)
+
+    rows = ds_mod._feed_csv(args.data, feed)
+    mom1, mom2 = _class_moments(sums)
     spec1 = clf_mod.ClassSpec(model.prior1, mom1)
     spec2 = clf_mod.ClassSpec(model.prior2, mom2)
     report = clf_mod.energy_report(model, spec1, spec2)
-    quality, _, region, _, accuracy = clf_mod._sample_functionals(
-        model, data, (model.prior1, model.prior2))
+    quality, _, region, _, accuracy = scores.functionals((model.prior1, model.prior2))
     lower_slack = report.enr_correct - region
     upper_slack = report.enr_error - lower_slack
     slack_tol = 1e-9 * max(1.0, abs(report.total))
@@ -168,7 +197,7 @@ def _cmd_eval(args) -> int:
     for key, value in (
         ("n", model.dim),
         ("mode", model.mode.value),
-        ("rows", len(data)),
+        ("rows", rows),
         ("p1", model.prior1),
         ("p2", model.prior2),
         ("enr_correct", report.enr_correct),
@@ -213,7 +242,7 @@ def run(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except ZeroSignal as exc:
-        # only fit, predict and eval normalize, each every row of --data first
+        # only fit, predict and eval normalize, each the rows of --data
         line = _row_line(args.data, exc.row)
         print(f"error: zero vector at line {line} of the data file cannot be "
               "unit-normalized", file=sys.stderr)

@@ -13,21 +13,29 @@ read and written in blocks of bounded size, so neither the text of a
 file nor its values as Python floats are ever held whole. Loading
 converts each well-formed block in one numpy.loadtxt call; any other
 block goes through a line-by-line parser that takes every spelling
-int() and float() take and names the first bad line.
+int() and float() take and names the first bad line. One pass over the
+parsed blocks feeds each to a consumer, so a caller that only needs
+sums of the rows, as the CLI does, never holds the feature array;
+`load_csv` is the pass that keeps every block. `save_csv` also writes
+a stream of blocks, which is how the CLI writes `gen_example2`'s rows
+as they are drawn.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import itertools
+import os
+import shutil
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EmptyClass,
+    EnergydiscError,
     InvalidParameter,
     LabelError,
     ParseError,
@@ -75,7 +83,10 @@ class LabeledDataset:
     features: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels)
+        try:
+            labels = np.asarray(self.labels)
+        except ValueError as exc:  # ragged
+            raise DimensionMismatch("labels must be a 1-d array") from exc
         try:
             features = np.asarray(self.features, dtype=float)
         except (ValueError, TypeError) as exc:  # ragged rows or non-numbers
@@ -105,15 +116,6 @@ class LabeledDataset:
 
     def class_features(self, label: int) -> np.ndarray:
         return self.features[self.labels == label]
-
-
-def _class_rows(labels: np.ndarray, rows: np.ndarray, label: int) -> np.ndarray:
-    """The rows of `rows` (one per entry of `labels`) of class `label`;
-    EmptyClass if it has none."""
-    mine = rows[labels == label]
-    if mine.shape[0] == 0:
-        raise EmptyClass(f"no samples with label {label}")
-    return mine
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -156,13 +158,16 @@ def gen_example1(
     return LabeledDataset(labels, np.vstack([rows1, rows2]))
 
 
-def gen_example2(
-    n: int, a: Iterable, sigma2: float, per_class: int, seed: int
-) -> LabeledDataset:
-    """Signal-plus-white-noise class versus pure white noise.
+def _example2_blocks(
+    n: int, a: Iterable, sigma2: float, per_class: int, seed: int,
+    block_rows: int | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The rows of `gen_example2` as (labels, features) blocks of
+    `block_rows` rows (by default about _WRITE_FLOATS floats), at least one
+    block. The parameters are checked by the call, before any block.
 
-    Class 1 draws a + eta, class 2 draws eta, with eta zero-mean Gaussian
-    of covariance sigma2 * I.
+    Drawing the blocks one after another from one PCG64 stream gives the
+    same values as one draw of all the rows.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (n,):
@@ -171,12 +176,35 @@ def gen_example2(
         raise InvalidParameter("signal vector must be finite")
     if not 0.0 < sigma2 < np.inf:  # NaN fails both comparisons
         raise InvalidParameter("noise variance must be finite and positive")
-    # one draw for both classes gives the same stream as one per class;
-    # scaling and shifting in place gives the same values as a + sigma * eta
-    features = make_rng(seed).standard_normal((2 * per_class, n))
-    features *= np.sqrt(sigma2)
-    features[:per_class] += a
-    labels = np.repeat([1, 2], per_class)
+    rows = 2 * per_class
+    step = block_rows or max(1, _WRITE_FLOATS // max(n, 1))
+    rng = make_rng(seed)
+
+    def blocks():
+        # a block even without rows, so that a writer learns n
+        for start in range(0, max(rows, 1), step):
+            x = rng.standard_normal((min(step, rows - start), n))
+            # scaling and shifting in place gives the same values as a + sigma * eta
+            x *= np.sqrt(sigma2)
+            ones = max(0, per_class - start)  # the first per_class rows are class 1
+            x[:ones] += a
+            labels = np.full(x.shape[0], 2)
+            labels[:ones] = 1
+            yield labels, x
+
+    return blocks()
+
+
+def gen_example2(
+    n: int, a: Iterable, sigma2: float, per_class: int, seed: int
+) -> LabeledDataset:
+    """Signal-plus-white-noise class versus pure white noise.
+
+    Class 1 draws a + eta, class 2 draws eta, with eta zero-mean Gaussian
+    of covariance sigma2 * I.
+    """
+    (labels, features), = _example2_blocks(n, a, sigma2, per_class, seed,
+                                           block_rows=max(1, 2 * per_class))
     return LabeledDataset(labels, features)
 
 
@@ -191,18 +219,47 @@ _READ_BYTES = 1 << 20
 _WRITE_FLOATS = 1 << 16
 
 
-def save_csv(data: LabeledDataset, path) -> None:
-    n = data.dim
+def save_csv(data, path) -> None:
+    """Write `data` to `path` as CSV.
+
+    `data` is a LabeledDataset, or an iterable of at least one
+    (labels, features) block, all of one width, each checked as a
+    LabeledDataset before it is written. The bytes do not depend on
+    where the blocks end.
+    """
+    blocks = iter([data] if isinstance(data, LabeledDataset)
+                  else (LabeledDataset(labels, features) for labels, features in data))
+    first = next(blocks, None)  # before opening, so a refused block truncates no file
+    if first is None:
+        raise InvalidParameter("no blocks to write")
+    n = first.dim
     header = "label," + ",".join(f"x{i + 1}" for i in range(n))
     row_fmt = "%d," + ",".join([_FLOAT_FMT] * n) + "\n"
     step = max(1, _WRITE_FLOATS // max(n, 1))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(data), step):
-            block = slice(start, start + step)
-            for label, row in zip(data.labels[block].tolist(),
-                                  data.features[block].tolist()):
-                fh.write(row_fmt % (label, *row))
+        for block in itertools.chain([first], blocks):
+            if block.dim != n:
+                raise DimensionMismatch(f"block of width {block.dim} after width {n}")
+            for start in range(0, len(block), step):
+                part = slice(start, start + step)
+                for label, row in zip(block.labels[part].tolist(),
+                                      block.features[part].tolist()):
+                    fh.write(row_fmt % (label, *row))
+
+
+def _check_room(path, rows: int, n: int) -> None:
+    """OSError (ENOSPC) if `rows` CSV rows of width `n` cannot fit in the
+    free space of the file system that is to hold `path`; a row takes at
+    least 2n + 2 bytes."""
+    try:
+        free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
+    except OSError:
+        return  # opening the file names the problem
+    need = rows * (2 * n + 2)
+    if need > free:
+        raise OSError(errno.ENOSPC, f"{rows} rows need at least {need} bytes, "
+                      f"{free} are free", str(path))
 
 
 def _utf8_text(data: bytes, first: int) -> str:
@@ -291,7 +348,20 @@ def _row_line(path, row: int) -> int:
         return next(itertools.islice(numbers, row, None))
 
 
-def load_csv(path) -> LabeledDataset:
+def _feed_csv(path, feed: Callable[[np.ndarray, np.ndarray], None]) -> int:
+    """Pass each parsed block of the CSV file at `path`, as (labels,
+    features), to `feed` in file order, and return the number of data rows.
+
+    Errors come in the order that reading the whole file first and then
+    running `feed` on all of its rows gives: a parse or label error as
+    soon as it is read, then the first non-finite row (a ParseError naming
+    its line), then the first error `feed` raised, with a ZeroSignal's
+    `row` counted from the first data row of the file. Blocks stop going
+    to `feed` at the first non-finite row or error, and parsing goes on to
+    the end of the file.
+    """
+    rows = 0
+    nonfinite = error = None
     with contextlib.closing(_line_blocks(path)) as blocks:
         _, lines = next(blocks, (1, []))
         if not lines:
@@ -299,12 +369,30 @@ def load_csv(path) -> LabeledDataset:
         n = lines[0].count(",")
         if n < 1 or lines[0].split(",") != ["label"] + [f"x{i + 1}" for i in range(n)]:
             raise ParseError(f"bad header {lines[0]!r}", 1)
-        # each block is parsed before the next is read
-        parts = [_parse_block(lines[1:], n, 2)]
-        parts += [_parse_block(lines, n, first) for first, lines in blocks]
-    labels = np.concatenate([part[0] for part in parts])
-    features = np.concatenate([part[1] for part in parts])
-    bad = _first_nonfinite_row(features)
-    if bad is not None:
-        raise ParseError("values must be finite numbers", _row_line(path, bad))
+        # each block is parsed and fed before the next is read
+        for first, lines in itertools.chain([(2, lines[1:])], blocks):
+            labels, features = _parse_block(lines, n, first)
+            if nonfinite is None:
+                bad = _first_nonfinite_row(features)
+                if bad is not None:
+                    nonfinite = rows + bad
+                elif error is None:
+                    try:
+                        feed(labels, features)
+                    except EnergydiscError as exc:
+                        if isinstance(exc, ZeroSignal):
+                            exc.row += rows  # its message keeps the block's row
+                        error = exc
+            rows += labels.shape[0]
+    if nonfinite is not None:
+        raise ParseError("values must be finite numbers", _row_line(path, nonfinite))
+    if error is not None:
+        raise error
+    return rows
+
+
+def load_csv(path) -> LabeledDataset:
+    blocks = []
+    _feed_csv(path, lambda labels, features: blocks.append((labels, features)))
+    labels, features = (np.concatenate(parts) for parts in zip(*blocks))
     return LabeledDataset(labels, features)

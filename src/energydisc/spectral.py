@@ -108,9 +108,12 @@ class Projector:
     def __init__(self, matrix: Iterable, rank: int):
         m = _float_array(matrix)
         vectors = sym_eig(m).eigenvectors  # eigenvalue 1 first, then 0
-        # P P^T = P holds exactly for symmetric idempotent P, so one product
-        # checks both; written as not (err <= tol) so that NaN fails
-        if not np.max(np.abs(m @ m.T - m), initial=0.0) <= _PROJ_ATOL:
+        # the entries of a projection lie in [-1, 1], checked first so that
+        # m @ m.T cannot overflow; P P^T = P holds exactly for symmetric
+        # idempotent P, so one product checks both; written as
+        # not (err <= tol) so that NaN fails
+        if not (np.max(np.abs(m), initial=0.0) <= 1.0 + _PROJ_ATOL
+                and np.max(np.abs(m @ m.T - m), initial=0.0) <= _PROJ_ATOL):
             raise InvalidMatrix("projector matrix is not an orthogonal projection")
         if not abs(np.trace(m) - rank) <= _RANK_ATOL:
             raise InvalidMatrix("projector trace does not match rank")

@@ -295,6 +295,18 @@ def test_spectrum_rejects_a_spectrum_that_contradicts_the_rank(capsys, tmp_path)
     assert err.startswith("error:") and "spectrum" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p1", ["1e308,0,0,1e308", "1e200,0,0,0"])
+def test_spectrum_refuses_a_v1_projector_with_huge_entries_in_one_line(capsys, tmp_path, p1):
+    # neither the trace nor P P^T may overflow before the matrix is refused
+    model_path = tmp_path / "model.txt"
+    model_path.write_text("format_version=1\nn=2\nmode=raw\np1=0.5\np2=0.5\ntrK1=1\n"
+                          f"trK2=1\nm1=0,0\nm2=0,0\nspectrum=1,0\nP1={p1}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "spectrum", "--model", str(model_path))
+    assert (code, out) == (2, "")
+    assert err == "error: projector matrix is not an orthogonal projection\n"
+
+
 def test_spectrum_output(capsys, tmp_path):
     data = gen_data(capsys, tmp_path)
     model_path = fit_model(capsys, tmp_path, data)

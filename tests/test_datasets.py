@@ -35,6 +35,11 @@ def test_labeled_dataset_validation():
         LabeledDataset(np.array([1]), np.zeros(3))
 
 
+def test_labeled_dataset_refuses_ragged_labels():
+    with pytest.raises(DimensionMismatch, match="labels must be a 1-d array"):
+        LabeledDataset([[1], [1, 2]], [[1.0], [2.0]])
+
+
 @pytest.mark.parametrize("labels, found", [
     ([1.5, 2.0], "1.5"), ([np.nan, 2.0], "nan"), ([2, 3, 0], "3")])
 def test_labeled_dataset_names_the_first_label_not_1_or_2(labels, found):
