@@ -267,7 +267,7 @@ class _SampleSums:
     and squared deviation M2 of the energy kept by correct decisions,
     which merge by the pairwise update of Chan, Golub & LeVeque (Amer.
     Statistician 1983); also the rows and hits of both classes. A sum of
-    one block gives `_sample_functionals`'s floats.
+    one block gives the whole-array means and var(ddof=1) bit for bit.
     """
 
     def __init__(self, clf: EnergyClassifier):

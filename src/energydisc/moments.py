@@ -64,8 +64,8 @@ class _MomentSum:
     d * count_b / count and the scatters add plus d d^T * count_a count_b /
     count. The raw sum of x x^T is never formed, because S = sum x x^T -
     N m m^T cancels for means far from the origin. The first block is
-    kept as computed, so a sum of one block gives `estimate_moments`'s
-    floats.
+    kept as computed, so a sum of one block is the whole-array estimate
+    bit for bit.
     """
 
     def __init__(self):
