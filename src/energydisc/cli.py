@@ -141,7 +141,7 @@ def _add_class_rows(sums, labels, features, mode) -> None:
         total.add(features[labels == label])
 
 
-def _class_moments(sums):
+def _class_summaries(sums):
     """The moments of class 1 and class 2; EmptyClass names a label without rows."""
     for label, total in zip((1, 2), sums):
         if total.count == 0:
@@ -154,7 +154,7 @@ def _cmd_fit(args) -> int:
     sums = (_MomentSum(), _MomentSum())
     rows = ds_mod._feed_csv(
         args.data, lambda labels, features: _add_class_rows(sums, labels, features, mode))
-    mom1, mom2 = _class_moments(sums)
+    mom1, mom2 = _class_summaries(sums)
     p1 = mom1.count / rows if args.priors_from_data else args.p1
     model = clf_mod.fit(clf_mod.ClassSpec(p1, mom1), clf_mod.ClassSpec(1.0 - p1, mom2), mode)
     clf_mod.save_model(model, args.out)
@@ -185,7 +185,7 @@ def _cmd_eval(args) -> int:
             scores.add(labels, features)
 
     rows = ds_mod._feed_csv(args.data, feed)
-    mom1, mom2 = _class_moments(sums)
+    mom1, mom2 = _class_summaries(sums)
     spec1 = clf_mod.ClassSpec(model.prior1, mom1)
     spec2 = clf_mod.ClassSpec(model.prior2, mom2)
     report = clf_mod.energy_report(model, spec1, spec2)
