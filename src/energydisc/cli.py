@@ -152,7 +152,7 @@ def _class_summaries(sums):
 def _cmd_fit(args) -> int:
     mode = clf_mod.NormalizationMode(args.mode)
     sums = (_MomentSum(), _MomentSum())
-    rows = ds_mod._feed_csv(
+    rows = ds_mod.load_csv(
         args.data, lambda labels, features: _add_class_rows(sums, labels, features, mode))
     mom1, mom2 = _class_summaries(sums)
     p1 = mom1.count / rows if args.priors_from_data else args.p1
@@ -164,13 +164,14 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = clf_mod.load_model(args.model)
-    blocks = []
-    ds_mod._feed_csv(args.data, lambda labels, features: blocks.append(
-        clf_mod.decide_batch(model, features).astype(np.uint8)))
-    labels = np.concatenate(blocks)
-    for start in range(0, len(labels), _LABELS_PER_WRITE):
-        block = labels[start:start + _LABELS_PER_WRITE].tolist()
-        sys.stdout.write("".join(f"{label}\n" for label in block))
+    digits = []  # each block's labels as ASCII digits, one byte per row
+    ds_mod.load_csv(args.data, lambda labels, features: digits.append(
+        (clf_mod.decide_batch(model, features) + ord("0")).astype(np.uint8)))
+    for block in digits:
+        for start in range(0, len(block), _LABELS_PER_WRITE):
+            part = block[start:start + _LABELS_PER_WRITE]
+            lines = np.column_stack((part, np.full_like(part, ord("\n"))))
+            sys.stdout.write(lines.tobytes().decode("ascii"))
     return 0
 
 
@@ -184,7 +185,7 @@ def _cmd_eval(args) -> int:
         if features.shape[1] == model.dim:  # else energy_report refuses the moments
             scores.add(labels, features)
 
-    rows = ds_mod._feed_csv(args.data, feed)
+    rows = ds_mod.load_csv(args.data, feed)
     mom1, mom2 = _class_summaries(sums)
     spec1 = clf_mod.ClassSpec(model.prior1, mom1)
     spec2 = clf_mod.ClassSpec(model.prior2, mom2)

@@ -13,10 +13,10 @@ read and written in blocks of bounded size, so neither the text of a
 file nor its values as Python floats are ever held whole. Loading
 converts each well-formed block in one numpy.loadtxt call; any other
 block goes through a line-by-line parser that takes every spelling
-int() and float() take and names the first bad line. One pass over the
-parsed blocks feeds each to a consumer, so a caller that only needs
-sums of the rows, as the CLI does, never holds the feature array;
-`load_csv` is the pass that keeps every block. `save_csv` also writes
+int() and float() take and names the first bad line. Given a consumer,
+`load_csv` hands it each parsed block in one pass and keeps nothing, so
+a caller that only needs sums of the rows, as the CLI does, never holds
+the feature array; without one it keeps every block. `save_csv` also writes
 a stream of blocks, which is how the CLI writes `gen_example2`'s rows
 as they are drawn.
 """
@@ -28,6 +28,7 @@ import errno
 import itertools
 import os
 import shutil
+import stat
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -251,11 +252,22 @@ def save_csv(data, path) -> None:
 def _check_room(path, rows: int, n: int) -> None:
     """OSError (ENOSPC) if `rows` CSV rows of width `n` cannot fit in the
     free space of the file system that is to hold `path`; a row takes at
-    least 2n + 2 bytes."""
+    least 2n + 2 bytes. Only a regular file, or one still to be made, is
+    checked; the file that writing would truncate counts as free."""
     try:
-        free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
+        info = os.stat(path)
+    except FileNotFoundError:
+        size = 0
     except OSError:
         return  # opening the file names the problem
+    else:
+        if not stat.S_ISREG(info.st_mode):
+            return  # a pipe or device keeps nothing
+        size = info.st_size
+    try:
+        free = size + shutil.disk_usage(os.path.dirname(os.path.realpath(path))).free
+    except OSError:
+        return
     need = rows * (2 * n + 2)
     if need > free:
         raise OSError(errno.ENOSPC, f"{rows} rows need at least {need} bytes, "
@@ -349,17 +361,7 @@ def _row_line(path, row: int) -> int:
 
 
 def _feed_csv(path, feed: Callable[[np.ndarray, np.ndarray], None]) -> int:
-    """Pass each parsed block of the CSV file at `path`, as (labels,
-    features), to `feed` in file order, and return the number of data rows.
-
-    Errors come in the order that reading the whole file first and then
-    running `feed` on all of its rows gives: a parse or label error as
-    soon as it is read, then the first non-finite row (a ParseError naming
-    its line), then the first error `feed` raised, with a ZeroSignal's
-    `row` counted from the first data row of the file. Blocks stop going
-    to `feed` at the first non-finite row or error, and parsing goes on to
-    the end of the file.
-    """
+    """`load_csv(path, feed)`: the one pass over the file's blocks."""
     rows = 0
     nonfinite = error = None
     with contextlib.closing(_line_blocks(path)) as blocks:
@@ -391,7 +393,21 @@ def _feed_csv(path, feed: Callable[[np.ndarray, np.ndarray], None]) -> int:
     return rows
 
 
-def load_csv(path) -> LabeledDataset:
+def load_csv(path, feed: Callable[[np.ndarray, np.ndarray], None] | None = None):
+    """The CSV file at `path` as a LabeledDataset.
+
+    With `feed`, nothing is kept: each parsed block goes, as (labels,
+    features), to `feed` in file order, and the number of data rows is
+    returned. Errors come in the order that reading the whole file first
+    and then running `feed` on all of its rows gives: a parse or label
+    error as soon as it is read, then the first non-finite row (a
+    ParseError naming its line), then the first error `feed` raised, with
+    a ZeroSignal's `row` counted from the first data row of the file.
+    Blocks stop going to `feed` at the first non-finite row or error, and
+    parsing goes on to the end of the file.
+    """
+    if feed is not None:
+        return _feed_csv(path, feed)
     blocks = []
     _feed_csv(path, lambda labels, features: blocks.append((labels, features)))
     labels, features = (np.concatenate(parts) for parts in zip(*blocks))

@@ -1,8 +1,10 @@
+import os
 import shutil
 import subprocess
 import sys
 from importlib.metadata import entry_points
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -367,7 +369,7 @@ def test_conflicting_or_malformed_options_exit_1(capsys, tmp_path, argv):
     (["gen-example1", "--n", "-1", "--m1", "1,0", "--m2", "0,1",
       "--per-class", "2"], 1),
     (["gen-example2", "--n", "-1", "--a", "1,0", "--sigma2", "1", "--per-class", "2"], 1),
-    # 2.84 PiB: numpy refuses the request before allocating anything
+    # at least 6 bytes a row: 1.2 PB cannot fit, so no file is made
     (["gen-example2", "--n", "2", "--a", "1,0", "--sigma2", "1",
       "--per-class", "99999999999999"], 2),
 ])
@@ -378,6 +380,25 @@ def test_bad_generator_sizes_exit_without_traceback(capsys, tmp_path, argv, code
     assert out == ""
     assert "error:" in err and "Traceback" not in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("target", ["new", "existing", "devnull"])
+def test_gen_example2_checks_room_only_for_a_regular_file(capsys, tmp_path, monkeypatch,
+                                                          target):
+    out_path = {"new": tmp_path / "x.csv", "existing": tmp_path / "x.csv",
+                "devnull": Path(os.devnull)}[target]
+    if target == "existing":
+        out_path.write_bytes(b"\0" * 24)  # 4 rows of width 2 need at least 24 bytes
+    monkeypatch.setattr(datasets.shutil, "disk_usage", lambda path: SimpleNamespace(free=0))
+    code, out, err = run_cli(capsys, "gen-example2", "--n", "2", "--a", "1,0", "--sigma2",
+                             "1", "--per-class", "2", "--seed", "0", "--out", str(out_path))
+    if target == "new":
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 28] 4 rows need at least 24 bytes, 0 are free: " \
+                      f"'{out_path}'\n"
+        assert not out_path.exists()
+    else:
+        assert (code, out, err) == (0, "wrote 4 rows\n", "")
 
 
 @pytest.mark.parametrize("sigma2", ["inf", "nan"])

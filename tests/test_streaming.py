@@ -341,23 +341,32 @@ def test_a_later_error_beats_an_earlier_row(monkeypatch, tmp_path, models, text,
         assert not (tmp_path / "model.txt").exists()
 
 
-def test_fit_predict_and_eval_never_load_the_whole_file(monkeypatch, tmp_path):
+def test_fit_predict_and_eval_read_the_file_through_a_feed(monkeypatch, tmp_path):
     data = tmp_path / "data.csv"
     assert _run(["gen-example2", "--n", "3", "--a", "1.5,0,1", "--sigma2", "0.8",
                  "--per-class", "50", "--seed", "4", "--out", str(data)])[0] == 0
+    monkeypatch.setattr(datasets, "_READ_BYTES", 256)
+    real, feeds = datasets.load_csv, []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("load_csv called")
+    def streamed_only(path, feed=None):
+        assert feed is not None, "the whole file was loaded"
+        feeds.append(0)
 
-    import energydisc
-    for owner in (datasets, energydisc):
-        monkeypatch.setattr(owner, "load_csv", refuse)
+        def counted(labels, features):
+            feeds[-1] += 1
+            feed(labels, features)
+
+        return real(path, counted)
+
+    monkeypatch.setattr(datasets, "load_csv", streamed_only)
     model = tmp_path / "model.txt"
     for argv in (["fit", "--data", str(data), "--mode", "unit", "--out", str(model)],
                  ["predict", "--model", str(model), "--data", str(data)],
                  ["eval", "--model", str(model), "--data", str(data)]):
         code, _, stderr = _run(argv)
         assert code == 0, stderr
+    # one pass per command, each over many blocks
+    assert len(feeds) == 3 and min(feeds) > 10, feeds
 
 
 # -- memory does not grow with the rows ----------------------------------------
@@ -371,7 +380,6 @@ import os, resource, sys
 from energydisc import cli, datasets
 datasets._READ_BYTES = 1 << 16
 datasets._WRITE_FLOATS = 1 << 12
-cli._LABELS_PER_WRITE = 1 << 10
 sys.stdout = open(os.devnull, "w")
 half = len(sys.argv) // 2
 peaks = []
