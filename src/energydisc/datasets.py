@@ -360,19 +360,37 @@ def _row_line(path, row: int) -> int:
         return next(itertools.islice(numbers, row, None))
 
 
-def _feed_csv(path, feed: Callable[[np.ndarray, np.ndarray], None]) -> int:
-    """`load_csv(path, feed)`: the one pass over the file's blocks."""
+def load_csv(path, feed: Callable[[np.ndarray, np.ndarray], None] | None = None):
+    """The CSV file at `path` as a LabeledDataset.
+
+    With `feed`, nothing is kept: each parsed block goes, as (labels,
+    features), to `feed` in file order, and the number of data rows is
+    returned. Errors come in the order that reading the whole file first
+    and then running `feed` on all of its rows gives: a parse or label
+    error as soon as it is read, then the first non-finite row (a
+    ParseError naming its line), then the first error `feed` raised, with
+    a ZeroSignal's `row` counted from the first data row of the file.
+    Blocks stop going to `feed` at the first non-finite row or error, and
+    parsing goes on to the end of the file.
+    """
+    blocks = None
+    if feed is None:  # keep every block
+        blocks = []
+
+        def feed(labels, features):
+            blocks.append((labels, features))
+
     rows = 0
     nonfinite = error = None
-    with contextlib.closing(_line_blocks(path)) as blocks:
-        _, lines = next(blocks, (1, []))
+    with contextlib.closing(_line_blocks(path)) as line_blocks:
+        _, lines = next(line_blocks, (1, []))
         if not lines:
             raise ParseError("missing header", 1)
         n = lines[0].count(",")
         if n < 1 or lines[0].split(",") != ["label"] + [f"x{i + 1}" for i in range(n)]:
             raise ParseError(f"bad header {lines[0]!r}", 1)
         # each block is parsed and fed before the next is read
-        for first, lines in itertools.chain([(2, lines[1:])], blocks):
+        for first, lines in itertools.chain([(2, lines[1:])], line_blocks):
             labels, features = _parse_block(lines, n, first)
             if nonfinite is None:
                 bad = _first_nonfinite_row(features)
@@ -390,25 +408,7 @@ def _feed_csv(path, feed: Callable[[np.ndarray, np.ndarray], None]) -> int:
         raise ParseError("values must be finite numbers", _row_line(path, nonfinite))
     if error is not None:
         raise error
-    return rows
-
-
-def load_csv(path, feed: Callable[[np.ndarray, np.ndarray], None] | None = None):
-    """The CSV file at `path` as a LabeledDataset.
-
-    With `feed`, nothing is kept: each parsed block goes, as (labels,
-    features), to `feed` in file order, and the number of data rows is
-    returned. Errors come in the order that reading the whole file first
-    and then running `feed` on all of its rows gives: a parse or label
-    error as soon as it is read, then the first non-finite row (a
-    ParseError naming its line), then the first error `feed` raised, with
-    a ZeroSignal's `row` counted from the first data row of the file.
-    Blocks stop going to `feed` at the first non-finite row or error, and
-    parsing goes on to the end of the file.
-    """
-    if feed is not None:
-        return _feed_csv(path, feed)
-    blocks = []
-    _feed_csv(path, lambda labels, features: blocks.append((labels, features)))
+    if blocks is None:
+        return rows
     labels, features = (np.concatenate(parts) for parts in zip(*blocks))
     return LabeledDataset(labels, features)
