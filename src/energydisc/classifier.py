@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import (_FLOAT_FMT, LabeledDataset, _first_nonfinite_row, _parse_floats,
-                       _unit_rows, _utf8_text)
+from .datasets import (_FLOAT_FMT, LabeledDataset, _check_signal_in_noise,
+                       _first_nonfinite_row, _parse_floats, _unit_rows, _utf8_text)
 from .errors import (DegenerateTrace, DimensionMismatch, EmptyClass, InvalidParameter,
                      ParseError)
 from .moments import MomentSummary
@@ -375,12 +375,9 @@ def region_energy(
 def snr(a, sigma2: float, n: int | None = None) -> float:
     """Signal-to-noise ratio ||a||^2 / (n * sigma^2) of a signal in white noise."""
     a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise InvalidParameter("signal vector must be finite")
+    _check_signal_in_noise(a, sigma2)
     if n is None:
         n = a.shape[0]
-    if not 0.0 < sigma2 < np.inf:  # NaN fails both comparisons
-        raise InvalidParameter("noise variance must be finite and positive")
     if not n >= 1:  # NaN fails the comparison
         raise InvalidParameter("dimension must be at least 1")
     return float(a @ a) / (n * sigma2)

@@ -5,13 +5,13 @@ Results go to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 usage error, 2 data or model error. All numeric output uses 17
 significant digits, so identical inputs give byte-identical outputs.
 
-Each command that reads a data file makes one pass over its parsed
-blocks and never holds the feature array: `fit` and `eval` add each
-block to a running moment sum per class, `eval` also to the sums of its
-sample functionals, and `predict` keeps one byte per row for the labels
-it prints once the whole file has parsed. `gen-example2` writes its rows
-block by block as they are drawn. Errors come in the order that reading
-the whole file first would give them.
+Each command that reads a data file reads it once, so it may be a pipe
+such as /dev/stdin, and never holds the feature array: `fit` and `eval`
+add each parsed block to a running moment sum per class, `eval` also to
+the sums of its sample functionals, and `predict` keeps one byte per row
+for the labels it prints once the whole file has parsed. `gen-example2`
+writes its rows as they are drawn. Errors, a zero row's line in unit
+mode among them, come as reading the whole file first would give them.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 
 from . import classifier as clf_mod
 from . import datasets as ds_mod
-from .datasets import _FLOAT_FMT, _parse_floats, _row_line, _unit_rows
-from .errors import EmptyClass, EnergydiscError, ZeroSignal
+from .datasets import _FLOAT_FMT, _parse_floats, _unit_rows
+from .errors import EmptyClass, EnergydiscError
 from .moments import _MomentSum
 
 
@@ -242,12 +242,6 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ZeroSignal as exc:
-        # only fit, predict and eval normalize, each the rows of --data
-        line = _row_line(args.data, exc.row)
-        print(f"error: zero vector at line {line} of the data file cannot be "
-              "unit-normalized", file=sys.stderr)
-        return 2
     except (EnergydiscError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,16 +9,16 @@ signal in white noise versus the noise alone.
 CSV layout: UTF-8, '\\n' newlines, mandatory header ``label,x1,...,xn``,
 one sample per row, labels in {1,2}, finite floats written with 17
 significant digits so values survive a round trip exactly. Files are
-read and written in blocks of bounded size, so neither the text of a
-file nor its values as Python floats are ever held whole. Loading
-converts each well-formed block in one numpy.loadtxt call; any other
-block goes through a line-by-line parser that takes every spelling
-int() and float() take and names the first bad line. Given a consumer,
-`load_csv` hands it each parsed block in one pass and keeps nothing, so
-a caller that only needs sums of the rows, as the CLI does, never holds
-the feature array; without one it keeps every block. `save_csv` also writes
-a stream of blocks, which is how the CLI writes `gen_example2`'s rows
-as they are drawn.
+read once, in blocks of bounded size, so neither the text of a file nor
+its values as Python floats are ever held whole, and a pipe reads as a
+file does. Loading converts each well-formed block in one numpy.loadtxt
+call; any other block goes through a line-by-line parser that takes
+every spelling int() and float() take and names the first bad line, as
+the block of a non-finite row or of a consumer's zero row names its
+line. Given a consumer, `load_csv` hands it each parsed block and keeps
+nothing, so a caller that only needs sums of the rows, as the CLI does,
+never holds the feature array; without one it keeps every block.
+`save_csv` writes a stream of blocks too, as `gen_example2`'s are drawn.
 """
 
 from __future__ import annotations
@@ -159,6 +159,14 @@ def gen_example1(
     return LabeledDataset(labels, np.vstack([rows1, rows2]))
 
 
+def _check_signal_in_noise(a: np.ndarray, sigma2: float) -> None:
+    """InvalidParameter unless signal `a` is finite, then noise variance `sigma2` too and > 0."""
+    if not np.all(np.isfinite(a)):
+        raise InvalidParameter("signal vector must be finite")
+    if not 0.0 < sigma2 < np.inf:  # NaN fails both comparisons
+        raise InvalidParameter("noise variance must be finite and positive")
+
+
 def _example2_blocks(
     n: int, a: Iterable, sigma2: float, per_class: int, seed: int,
     block_rows: int | None = None,
@@ -173,10 +181,7 @@ def _example2_blocks(
     a = np.asarray(a, dtype=float)
     if a.shape != (n,):
         raise DimensionMismatch("signal vector must have length n")
-    if not np.all(np.isfinite(a)):
-        raise InvalidParameter("signal vector must be finite")
-    if not 0.0 < sigma2 < np.inf:  # NaN fails both comparisons
-        raise InvalidParameter("noise variance must be finite and positive")
+    _check_signal_in_noise(a, sigma2)
     rows = 2 * per_class
     step = block_rows or max(1, _WRITE_FLOATS // max(n, 1))
     rng = make_rng(seed)
@@ -349,15 +354,11 @@ def _parse_block(lines: list[str], n: int, first: int) -> tuple[np.ndarray, np.n
     return parsed if parsed is not None else _parse_rows(lines, n, first)
 
 
-def _row_line(path, row: int) -> int:
-    """File line number (1-based, blank lines counted) of data row `row`
-    (0-based) of the CSV file at `path`, the data rows being the non-empty
-    lines after the header."""
-    with contextlib.closing(_line_blocks(path)) as blocks:
-        numbers = (lineno for first, lines in blocks
-                   for lineno, line in enumerate(lines, start=first)
-                   if line and lineno > 1)
-        return next(itertools.islice(numbers, row, None))
+def _row_line(first: int, lines: list[str], row: int) -> int:
+    """File line number of data row `row` (0-based) of a block whose lines
+    start at file line `first`, the data rows being its non-empty lines."""
+    numbers = (lineno for lineno, line in enumerate(lines, start=first) if line)
+    return next(itertools.islice(numbers, row, None))
 
 
 def load_csv(path, feed: Callable[[np.ndarray, np.ndarray], None] | None = None):
@@ -368,10 +369,12 @@ def load_csv(path, feed: Callable[[np.ndarray, np.ndarray], None] | None = None)
     returned. Errors come in the order that reading the whole file first
     and then running `feed` on all of its rows gives: a parse or label
     error as soon as it is read, then the first non-finite row (a
-    ParseError naming its line), then the first error `feed` raised, with
-    a ZeroSignal's `row` counted from the first data row of the file.
-    Blocks stop going to `feed` at the first non-finite row or error, and
-    parsing goes on to the end of the file.
+    ParseError naming its line), then the first error `feed` raised, a
+    ZeroSignal with a `row` in the block fed coming back as "zero vector at
+    line L of the data file cannot be unit-normalized" with the file's data
+    `row`, one without as it is. Blocks stop going to `feed` at the first
+    non-finite row or error, and parsing goes on to the end of the file,
+    which is read once: a bad row's line comes from its block.
     """
     blocks = None
     if feed is None:  # keep every block
@@ -395,17 +398,19 @@ def load_csv(path, feed: Callable[[np.ndarray, np.ndarray], None] | None = None)
             if nonfinite is None:
                 bad = _first_nonfinite_row(features)
                 if bad is not None:
-                    nonfinite = rows + bad
+                    nonfinite = _row_line(first, lines, bad)
                 elif error is None:
                     try:
                         feed(labels, features)
                     except EnergydiscError as exc:
-                        if isinstance(exc, ZeroSignal):
-                            exc.row += rows  # its message keeps the block's row
+                        if isinstance(exc, ZeroSignal) and exc.row is not None:
+                            line = _row_line(first, lines, exc.row)
+                            exc = ZeroSignal(f"zero vector at line {line} of the data file "
+                                             "cannot be unit-normalized", rows + exc.row)
                         error = exc
             rows += labels.shape[0]
     if nonfinite is not None:
-        raise ParseError("values must be finite numbers", _row_line(path, nonfinite))
+        raise ParseError("values must be finite numbers", nonfinite)
     if error is not None:
         raise error
     if blocks is None:

@@ -1,6 +1,8 @@
 """The one-pass CLI: fit, predict and eval read a data file once, in
 blocks, through the running moment sums and sample-functional sums, and
-gen-example2 writes its rows block by block.
+gen-example2 writes its rows block by block. A bad row's line comes
+from the block that holds it, so a refused file is read once too, and a
+piped file is refused as a regular one is.
 
 The reference formulas here are the whole-array estimates the sums
 replace; a sum of one block must give their floats bit for bit, and a
@@ -23,6 +25,7 @@ from energydisc import (
     LabeledDataset,
     NormalizationMode,
     ParseError,
+    ZeroSignal,
     analytic_moments,
     cli,
     datasets,
@@ -36,6 +39,7 @@ from energydisc import (
     sym_matrix,
 )
 from energydisc.classifier import _labels, _SampleSums, _sample_functionals, discriminants
+from energydisc.datasets import _unit_rows
 from energydisc.moments import _MomentSum
 from helpers import subprocess_env
 from test_datasets import _BLOCK_EDGE_CASES, _EDGE_CASES
@@ -345,6 +349,12 @@ def test_fit_predict_and_eval_read_the_file_through_a_feed(monkeypatch, tmp_path
     data = tmp_path / "data.csv"
     assert _run(["gen-example2", "--n", "3", "--a", "1.5,0,1", "--sigma2", "0.8",
                  "--per-class", "50", "--seed", "4", "--out", str(data)])[0] == 0
+    # the same file with a bad row at line 52, many blocks in
+    lines = data.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = {}
+    for name, row in (("nan", "2,nan,0,1\n"), ("zero", "1,0,0,0\n")):
+        bad[name] = tmp_path / f"{name}.csv"
+        bad[name].write_text("".join(lines[:51] + [row] + lines[51:]), encoding="utf-8")
     monkeypatch.setattr(datasets, "_READ_BYTES", 256)
     real, feeds = datasets.load_csv, []
 
@@ -358,15 +368,76 @@ def test_fit_predict_and_eval_read_the_file_through_a_feed(monkeypatch, tmp_path
 
         return real(path, counted)
 
+    real_blocks, reads = datasets._line_blocks, []
+
+    def read_once(path):
+        reads.append(path)
+        return real_blocks(path)
+
     monkeypatch.setattr(datasets, "load_csv", streamed_only)
+    monkeypatch.setattr(datasets, "_line_blocks", read_once)
     model = tmp_path / "model.txt"
-    for argv in (["fit", "--data", str(data), "--mode", "unit", "--out", str(model)],
-                 ["predict", "--model", str(model), "--data", str(data)],
-                 ["eval", "--model", str(model), "--data", str(data)]):
-        code, _, stderr = _run(argv)
-        assert code == 0, stderr
-    # one pass per command, each over many blocks
-    assert len(feeds) == 3 and min(feeds) > 10, feeds
+    for path, want in ((data, 0), (bad["nan"], 2), (bad["zero"], 2)):
+        out = model if want == 0 else tmp_path / "refused.txt"
+        for argv in (["fit", "--mode", "unit", "--out", str(out)],
+                     ["predict", "--model", str(model)],
+                     ["eval", "--model", str(model)]):
+            feeds.clear()
+            reads.clear()
+            code, _, stderr = _run([*argv, "--data", str(path)])
+            assert code == want and (want == 0) == (stderr == ""), stderr
+            assert want == 0 or " line 52" in stderr, stderr
+            # one pass per command, one read of the file, and many blocks
+            # when nothing is refused
+            assert len(feeds) == 1 and reads == [str(path)], (argv, feeds, reads)
+            assert want == 2 or feeds[0] > 10, (argv, feeds)
+
+
+# -- a bad row is named by its line, whatever the file is -----------------------
+
+
+@pytest.mark.parametrize("read_bytes", [1, 12, 1 << 20])
+def test_load_csv_names_the_file_line_and_row_of_a_feeds_zero_row(monkeypatch, tmp_path,
+                                                                   read_bytes):
+    data = tmp_path / "data.csv"
+    # the zero row is data row 3 (0-based) and file line 7, after blank lines
+    data.write_text("label,x1,x2\n1,1,0\n2,0.5,1\n\n\n2,1,1\n1,0,0\n2,3,1\n", encoding="utf-8")
+    monkeypatch.setattr(datasets, "_READ_BYTES", read_bytes)
+    with pytest.raises(ZeroSignal) as info:
+        load_csv(data, lambda labels, features: _unit_rows(features))
+    assert str(info.value) == "zero vector at line 7 of the data file cannot be unit-normalized"
+    assert info.value.row == 3
+    rowless = ZeroSignal("x")
+
+    def feed(labels, features):
+        raise rowless
+
+    with pytest.raises(ZeroSignal) as info:
+        load_csv(data, feed)
+    assert info.value is rowless and str(rowless) == "x" and rowless.row is None
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("text, mode, error", [
+    ("label,x1,x2\n1,1,2\n2,0.5,1\n2,nan,1\n1,2,2\n", "raw",
+     "error: line 4: values must be finite numbers\n"),
+    ("label,x1,x2\n1,1,2\n2,0.5,1\n2,nan,1\n1,2,2\n", "unit",
+     "error: line 4: values must be finite numbers\n"),
+    ("label,x1,x2\n1,1,0\n2,0.5,1\n\n\n1,0,0\n2,1,1\n", "unit",
+     "error: zero vector at line 6 of the data file cannot be unit-normalized\n"),
+])
+def test_a_piped_data_file_gives_the_error_of_a_regular_file(tmp_path, models, text, mode,
+                                                               error):
+    data = tmp_path / "data.csv"
+    data.write_text(text, encoding="utf-8")
+    for argv in (["fit", "--mode", mode, "--out", str(tmp_path / "model.txt")],
+                 ["predict", "--model", str(models[2, mode])],
+                 ["eval", "--model", str(models[2, mode])]):
+        assert _run([*argv, "--data", str(data)]) == (2, "", error), argv
+        proc = subprocess.run([sys.executable, "-m", "energydisc", *argv, "--data", "/dev/stdin"],
+                              input=text, capture_output=True, text=True, env=subprocess_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error), argv
+        assert not (tmp_path / "model.txt").exists()
 
 
 # -- memory does not grow with the rows ----------------------------------------
