@@ -199,9 +199,19 @@ def _labels(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return np.where(g1 > g2, 1, 2)
 
 
+def _vectors(x) -> np.ndarray:
+    """`x` as a float array; DimensionMismatch if its rows are ragged or not numbers."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise DimensionMismatch("vectors must be rows of numbers of one length") from exc
+
+
 def discriminants(clf: EnergyClassifier, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Discriminant pair (g_1, g_2) for a batch of row vectors."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.atleast_2d(_vectors(x))
+    if x.ndim != 2:
+        raise DimensionMismatch(f"vectors must form a 2-d array of rows, got shape {x.shape}")
     if x.shape[1] != clf.dim:
         raise DimensionMismatch(f"vectors of length {x.shape[1]} vs model dim {clf.dim}")
     bad = _first_nonfinite_row(x)
@@ -223,8 +233,12 @@ def discriminants(clf: EnergyClassifier, x: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def decide(clf: EnergyClassifier, x) -> int:
-    """Class label for one vector: 1 iff g_1(x) > g_2(x) strictly, else 2."""
-    g1, g2 = discriminants(clf, np.asarray(x, dtype=float).reshape(1, -1))
+    """Class label for one vector of length dim: 1 iff g_1(x) > g_2(x)
+    strictly, else 2. Any other shape is a DimensionMismatch."""
+    x = _vectors(x)
+    if x.ndim != 1 or x.shape[0] != clf.dim:
+        raise DimensionMismatch(f"vector of shape {x.shape} vs model dim {clf.dim}")
+    g1, g2 = discriminants(clf, x[None])
     return int(_labels(g1, g2)[0])
 
 
@@ -266,37 +280,33 @@ class _SampleSums:
     sums of g_i and of the indicator of a correct decision, and the mean
     and squared deviation M2 of the energy kept by correct decisions,
     which merge by the pairwise update of Chan, Golub & LeVeque (Amer.
-    Statistician 1983); also the rows and hits of both classes. A sum of
-    one block gives the whole-array means and var(ddof=1) bit for bit.
+    Statistician 1983). A sum of one block gives the whole-array means
+    and var(ddof=1) bit for bit.
     """
 
     def __init__(self, clf: EnergyClassifier):
         self.clf = clf
-        self.rows = self.hits = 0
         self.count = [0, 0]
         self.g = [0.0, 0.0]
-        self.won = [0.0, 0.0]
+        self.won = [0, 0]
         self.kept = [0.0, 0.0]
         self.m2 = [0.0, 0.0]
 
     def add(self, labels: np.ndarray, features: np.ndarray) -> None:
         g1, g2 = discriminants(self.clf, features)
         hits = _labels(g1, g2) == labels
-        self.rows += hits.size
-        self.hits += int(np.count_nonzero(hits))
-        scored = np.column_stack((g1, g2, hits))
-        for i in range(2):
-            g1, g2, won = scored[labels == i + 1].T
+        for i, g in enumerate((g1, g2)):
+            mine = labels == i + 1
+            g, won = g[mine], hits[mine]
             k, count = won.size, self.count[i]
             if k == 0:
                 continue
-            g = (g1, g2)[i]
             kept = g * won  # the energy of the rows decided correctly
             mean = float(kept.mean())
             m2 = float(np.sum(np.square(kept - mean)))
             self.count[i] = total = count + k
             self.g[i] += float(g.sum())
-            self.won[i] += float(won.sum())
+            self.won[i] += int(np.count_nonzero(won))
             if count == 0:
                 self.kept[i], self.m2[i] = mean, m2
             else:
@@ -320,7 +330,8 @@ class _SampleSums:
             region += prior * self.kept[i]
             if count > 1:
                 variance += prior**2 * (self.m2[i] / (count - 1)) / count
-        return quality, indicator, region, float(np.sqrt(variance)), self.hits / self.rows
+        accuracy = sum(self.won) / sum(self.count)
+        return quality, indicator, region, float(np.sqrt(variance)), accuracy
 
 
 def _sample_functionals(clf: EnergyClassifier, data: LabeledDataset,
@@ -374,8 +385,10 @@ def region_energy(
 
 def snr(a, sigma2: float, n: int | None = None) -> float:
     """Signal-to-noise ratio ||a||^2 / (n * sigma^2) of a signal in white noise."""
-    a = np.asarray(a, dtype=float)
+    a = _vectors(a)
     _check_signal_in_noise(a, sigma2)
+    if a.ndim != 1:
+        raise DimensionMismatch(f"signal must be a 1-d vector, got shape {a.shape}")
     if n is None:
         n = a.shape[0]
     if not n >= 1:  # NaN fails the comparison
@@ -528,7 +541,7 @@ def parse_model(text: str) -> EnergyClassifier:
                                prior2=prior2, tr_k1=tr_k1, tr_k2=tr_k2, mean1=mean1,
                                mean2=mean2, spectrum=spectrum)
         _check_spectrum(clf)
-    except (DimensionMismatch, InvalidParameter, DegenerateTrace) as exc:
+    except (InvalidParameter, DegenerateTrace) as exc:
         raise ParseError(str(exc)) from exc
     return clf
 

@@ -9,9 +9,10 @@ Each command that reads a data file reads it once, so it may be a pipe
 such as /dev/stdin, and never holds the feature array: `fit` and `eval`
 add each parsed block to a running moment sum per class, `eval` also to
 the sums of its sample functionals, and `predict` keeps one byte per row
-for the labels it prints once the whole file has parsed. `gen-example2`
-writes its rows as they are drawn. Errors, a zero row's line in unit
-mode among them, come as reading the whole file first would give them.
+for the labels it prints once the whole file has parsed, writing each
+read block's labels once. `gen-example2` writes its rows as they are
+drawn. Errors, a zero row's line in unit mode among them, come as
+reading the whole file first would give them.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ from . import datasets as ds_mod
 from .datasets import _FLOAT_FMT, _parse_floats, _unit_rows
 from .errors import EmptyClass, EnergydiscError
 from .moments import _MomentSum
-
-
-# predict writes its labels in blocks of this many lines
-_LABELS_PER_WRITE = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,10 +165,8 @@ def _cmd_predict(args) -> int:
     ds_mod.load_csv(args.data, lambda labels, features: digits.append(
         (clf_mod.decide_batch(model, features) + ord("0")).astype(np.uint8)))
     for block in digits:
-        for start in range(0, len(block), _LABELS_PER_WRITE):
-            part = block[start:start + _LABELS_PER_WRITE]
-            lines = np.column_stack((part, np.full_like(part, ord("\n"))))
-            sys.stdout.write(lines.tobytes().decode("ascii"))
+        lines = np.column_stack((block, np.full_like(block, ord("\n"))))
+        sys.stdout.write(lines.tobytes().decode("ascii"))
     return 0
 
 

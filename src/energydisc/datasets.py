@@ -144,6 +144,8 @@ def gen_example1(
     m2 = np.asarray(m2, dtype=float)
     if m1.shape != (n,) or m2.shape != (n,):
         raise DimensionMismatch("means must have length n")
+    if n < 1:
+        raise DimensionMismatch("dimension n must be at least 1")
     if not (np.all(np.isfinite(m1)) and np.all(np.isfinite(m2))):
         raise InvalidParameter("class means must be finite")
     if abs(float(m1 @ m2)) > 1e-9 * np.linalg.norm(m1) * np.linalg.norm(m2):
@@ -181,9 +183,11 @@ def _example2_blocks(
     a = np.asarray(a, dtype=float)
     if a.shape != (n,):
         raise DimensionMismatch("signal vector must have length n")
+    if n < 1:
+        raise DimensionMismatch("dimension n must be at least 1")
     _check_signal_in_noise(a, sigma2)
     rows = 2 * per_class
-    step = block_rows or max(1, _WRITE_FLOATS // max(n, 1))
+    step = block_rows or max(1, _WRITE_FLOATS // n)
     rng = make_rng(seed)
 
     def blocks():
@@ -239,9 +243,11 @@ def save_csv(data, path) -> None:
     if first is None:
         raise InvalidParameter("no blocks to write")
     n = first.dim
+    if n < 1:
+        raise DimensionMismatch("CSV rows need at least one feature")
     header = "label," + ",".join(f"x{i + 1}" for i in range(n))
     row_fmt = "%d," + ",".join([_FLOAT_FMT] * n) + "\n"
-    step = max(1, _WRITE_FLOATS // max(n, 1))
+    step = max(1, _WRITE_FLOATS // n)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for block in itertools.chain([first], blocks):

@@ -130,6 +130,8 @@ def analytic_moments(mean: Iterable, covariance: Iterable) -> MomentSummary:
     r = sym_matrix(covariance)
     if m.ndim != 1 or r.shape[0] != m.shape[0]:
         raise DimensionMismatch("mean and covariance dimensions differ")
+    if m.shape[0] < 1:
+        raise DimensionMismatch("dimension must be at least 1")
     _check_psd(r, sym_eig(r).eigenvalues[-1])
     k = sym_matrix(r + np.outer(m, m))
     return MomentSummary(m, k, r, 0)

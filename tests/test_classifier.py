@@ -201,6 +201,26 @@ def test_discriminants_dimension_check():
         discriminants(clf, np.ones((3, 5)))
 
 
+@pytest.mark.parametrize("score", [discriminants, decide_batch])
+@pytest.mark.parametrize("x", [np.ones((2, 2, 2)), np.ones((1, 2, 2)), [[1.0, 2.0], [1.0]]],
+                         ids=["3-axes", "3-axes-one-row", "ragged"])
+def test_batch_scoring_refuses_arrays_that_are_not_rows(score, x):
+    with pytest.raises(DimensionMismatch):
+        score(fit(*gaussian_pair()), x)
+
+
+@pytest.mark.parametrize("x", [np.eye(2), [[2.0, 0.0, 0.0, 0.0]], 2.0, [2.0, 0.0, 0.0], [],
+                               [[1.0, 2.0], [1.0, 0.0, 0.0]]],
+                         ids=["2x2", "1x4", "0-d", "length-3", "empty", "ragged"])
+def test_decide_refuses_anything_but_one_vector_of_length_dim(x):
+    # dim 4: a 2x2 array has four entries, but it is not a vector
+    clf = fit(ClassSpec(0.5, analytic_moments(np.zeros(4), np.diag([4.0, 1.0, 1.0, 1.0]))),
+              ClassSpec(0.5, analytic_moments(np.zeros(4), np.eye(4))))
+    assert decide(clf, [2.0, 0.0, 0.0, 0.0]) == 1
+    with pytest.raises(DimensionMismatch):
+        decide(clf, x)
+
+
 # -- normalization modes ---------------------------------------------------
 
 
@@ -446,10 +466,16 @@ def test_snr_values_and_errors():
         snr([1.0], 0.0)
 
 
-@pytest.mark.parametrize("n", [0, -1, np.nan, float("-inf")])
-def test_snr_rejects_a_bad_dimension(n):
-    with pytest.raises(InvalidParameter, match="dimension must be at least 1"):
-        snr([1.0], 1.0, n=n)
+@pytest.mark.parametrize("signal, n, error, message", [
+    *(pytest.param([1.0], n, InvalidParameter, "dimension must be at least 1", id=str(n))
+      for n in (0, -1, np.nan, float("-inf"))),
+    pytest.param(5.0, None, DimensionMismatch, "1-d vector", id="0-d-signal"),
+    pytest.param([[1.0, 2.0]], None, DimensionMismatch, "1-d vector", id="2-d-signal"),
+    pytest.param([[1.0], [1.0, 2.0]], None, DimensionMismatch, "one length", id="ragged-signal"),
+])
+def test_snr_rejects_a_bad_dimension(signal, n, error, message):
+    with pytest.raises(error, match=message):
+        snr(signal, 1.0, n=n)
 
 
 @pytest.mark.parametrize("signal", [[np.nan], [1.0, np.inf]])

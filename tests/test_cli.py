@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from energydisc import cli, datasets
+from energydisc import datasets
 from energydisc import (
     ClassSpec,
     decide_batch,
@@ -92,17 +92,29 @@ def test_fit_and_predict_round_trip(capsys, tmp_path):
     assert out2 == out  # byte-identical reruns
 
 
-@pytest.mark.parametrize("labels_per_write", [7, 1 << 16])
-def test_predict_prints_one_label_line_per_row(capsys, tmp_path, monkeypatch,
-                                               labels_per_write):
+def test_predict_prints_one_label_line_per_row(capsys, tmp_path):
     data = gen_data(capsys, tmp_path, per_class=25)
     model_path = fit_model(capsys, tmp_path, data)
-    monkeypatch.setattr(cli, "_LABELS_PER_WRITE", labels_per_write)
     code, out, err = run_cli(capsys, "predict", "--model", str(model_path),
                              "--data", str(data))
     assert code == 0, err
     labels = decide_batch(load_model(model_path), load_csv(data).features)
     assert out == "".join(f"{int(label)}\n" for label in labels)
+
+
+def test_predict_prints_a_read_block_of_many_short_rows(capsys, tmp_path):
+    # rows of one feature are 4 bytes, so one read block holds more than
+    # 2^16 of them, and their labels go out in one write
+    path = tmp_path / "one.csv"
+    path.write_text("label,x1\n1,1\n2,0\n1,2\n2,0.5\n", encoding="utf-8")
+    model_path = fit_model(capsys, tmp_path, path)
+    data = tmp_path / "short.csv"
+    data.write_text("label,x1\n" + "1,1\n2,0\n" * 40000, encoding="utf-8")
+    assert [len(lines) for _, lines in datasets._line_blocks(data)] == [80001]
+    code, out, err = run_cli(capsys, "predict", "--model", str(model_path),
+                             "--data", str(data))
+    assert code == 0, err
+    assert out == "1\n2\n" * 40000
 
 
 def test_fit_priors_from_data(capsys, tmp_path):

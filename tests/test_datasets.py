@@ -127,6 +127,20 @@ def test_gen_example2_rejects_bad_noise():
         gen_example2(2, [1.0, 0.0, 0.0], 1.0, per_class=5, seed=0)
 
 
+@pytest.mark.parametrize("write", [
+    lambda path: gen_example1(0, [], [], np.zeros((0, 0)), per_class=2, seed=0),
+    lambda path: gen_example2(0, [], 1.0, per_class=2, seed=0),
+    lambda path: save_csv(LabeledDataset(np.array([1, 2]), np.zeros((2, 0))), path),
+    lambda path: save_csv([(np.array([1]), np.zeros((1, 0)))], path),
+], ids=["gen_example1", "gen_example2", "save_csv", "save_csv-blocks"])
+def test_zero_width_is_refused(tmp_path, write):
+    # a CSV file needs a feature column: load_csv refuses the header `label,`
+    path = tmp_path / "data.csv"
+    with pytest.raises(DimensionMismatch, match="at least 1|at least one feature"):
+        write(path)
+    assert not path.exists()
+
+
 def test_unit_normalized():
     data = LabeledDataset(np.array([1, 2]), np.array([[3.0, 4.0], [0.0, -2.0]]))
     unit = unit_normalized(data)

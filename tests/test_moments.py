@@ -97,6 +97,11 @@ def test_analytic_rejects_mismatched_mean():
         analytic_moments([1.0, 0.0, 0.0], np.eye(2))
 
 
+def test_analytic_rejects_zero_dimension():
+    with pytest.raises(DimensionMismatch, match="at least 1"):
+        analytic_moments([], np.zeros((0, 0)))
+
+
 def test_expected_quadratic_examples():
     s = analytic_moments([0.0, 0.0], [[2.0, 0.0], [0.0, 3.0]])
     assert expected_quadratic(np.eye(2), s.correlation) == pytest.approx(5.0)

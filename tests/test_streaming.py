@@ -143,7 +143,18 @@ def _scored_data(rows, offset, seed):
 def test_sample_functionals_give_the_whole_array_floats(mode, priors):
     data, specs = _scored_data(600, 0.0, 8)
     clf = fit(*specs, mode)
-    assert _sample_functionals(clf, data, priors) == reference_functionals(clf, data, priors)
+    want = reference_functionals(clf, data, priors)
+    assert _sample_functionals(clf, data, priors) == want
+    # rows of both labels in one order, so that most blocks hold both
+    order = np.random.default_rng(5).permutation(len(data))
+    labels, features = data.labels[order], data.features[order]
+    for block in (1, 7, 400):
+        sums = _SampleSums(clf)
+        for part in zip(_blocks(labels, block), _blocks(features, block)):
+            sums.add(*part)
+        got = sums.functionals(priors)
+        assert got[1] == want[1] and got[4] == want[4]  # counts over counts
+        np.testing.assert_allclose(got, want, rtol=1e-12)
     if priors == (0.4, 0.6):
         value, stderr = region_energy(clf, data, return_stderr=True)
         want = reference_functionals(clf, data, (clf.prior1, clf.prior2))
