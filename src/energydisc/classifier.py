@@ -35,7 +35,7 @@ from .datasets import (_FLOAT_FMT, LabeledDataset, _check_signal_in_noise,
 from .errors import (DegenerateTrace, DimensionMismatch, EmptyClass, InvalidParameter,
                      ParseError)
 from .moments import MomentSummary
-from .spectral import Projector, complement, sym_eig
+from .spectral import Projector, _vectors, complement, sym_eig
 
 
 class NormalizationMode(enum.Enum):
@@ -197,14 +197,6 @@ def _energies(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def _labels(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     """The decision rule: label 1 iff g_1 > g_2 strictly, else 2 (ties go to 2)."""
     return np.where(g1 > g2, 1, 2)
-
-
-def _vectors(x) -> np.ndarray:
-    """`x` as a float array; DimensionMismatch if its rows are ragged or not numbers."""
-    try:
-        return np.asarray(x, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise DimensionMismatch("vectors must be rows of numbers of one length") from exc
 
 
 def discriminants(clf: EnergyClassifier, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -43,7 +43,7 @@ from .errors import (
     ZeroSignal,
 )
 from .moments import _check_psd
-from .spectral import sym_eig, sym_matrix
+from .spectral import _vectors, sym_eig, sym_matrix
 
 # Every float the package writes (CSV, model files, CLI output) uses
 # 17 significant digits, so values survive a text round trip exactly.
@@ -140,8 +140,8 @@ def gen_example1(
     seed: int,
 ) -> LabeledDataset:
     """Two Gaussian classes with orthogonal means and a shared covariance."""
-    m1 = np.asarray(m1, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
+    m1 = _vectors(m1)
+    m2 = _vectors(m2)
     if m1.shape != (n,) or m2.shape != (n,):
         raise DimensionMismatch("means must have length n")
     if n < 1:
@@ -180,7 +180,7 @@ def _example2_blocks(
     Drawing the blocks one after another from one PCG64 stream gives the
     same values as one draw of all the rows.
     """
-    a = np.asarray(a, dtype=float)
+    a = _vectors(a)
     if a.shape != (n,):
         raise DimensionMismatch("signal vector must have length n")
     if n < 1:

@@ -21,9 +21,12 @@ P + Q or Q - P:
   eigenvalues of P + Q (1 +- cos theta_i for paired directions, 1 for
   unpaired ones), and the left singular vectors with sigma^2 > 1e-8
   span the sum of ranges, which drops the second copy of a shared pair;
-* order: P <= Q iff ||U_P - U_Q U_Q^T U_P||_2 = max sin theta_i <= 1e-8;
-  the eigenvalues of Q - P are +-sin theta_i, so this is
-  lambda_min(Q - P) >= -1e-8.
+* order: P <= Q iff ||R||_2 = max sin theta_i <= 1e-8, with
+  R = U_P - U_Q U_Q^T U_P; the eigenvalues of Q - P are +-sin theta_i,
+  so this is lambda_min(Q - P) >= -1e-8. Since
+  ||R||_2 <= ||R||_F <= sqrt(rank P) ||R||_2, one Frobenius norm decides
+  it outside the bracket 1e-8 < ||R||_F <= sqrt(rank P) * 1e-8, and the
+  SVD of R runs only inside it.
 """
 
 from __future__ import annotations
@@ -34,11 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
-from .spectral import Projector, complement
+from .spectral import Projector, _vectors, complement
 
 # Absolute cutoff on the spectrum of P + Q, which lives in [0, 2], on
 # 1 - cos theta and on sin theta; an absolute cutoff is well-scaled for all.
 _EIG_ATOL = 1e-8
+
+# Relative slack on the Frobenius bracket of `leq`, far above the rounding
+# of a norm or a singular value, so that a norm within rounding of a bound
+# goes to the SVD and every decision is the one the SVD makes.
+_BRACKET_SLACK = 1e-9
 
 
 def _check_same_dim(p: Projector, q: Projector) -> None:
@@ -50,10 +58,10 @@ def membership(p: Projector, x) -> float:
     """Energy of x passed by P: <Px,x> = ||U^T x||^2, always within [0, ||x||^2].
 
     Raises:
-        DimensionMismatch: x is not a vector of length dim.
+        DimensionMismatch: x is not a vector of numbers of length dim.
         InvalidParameter: x holds nan or inf.
     """
-    x = np.asarray(x, dtype=float)
+    x = _vectors(x)
     if x.ndim != 1 or x.shape[0] != p.dim:
         raise DimensionMismatch(f"vector of length {x.shape} vs dim {p.dim}")
     norm2 = float(x @ x)
@@ -78,7 +86,7 @@ def meet(p: Projector, q: Projector) -> Projector:
 def join(p: Projector, q: Projector) -> Projector:
     """Least upper bound: projector onto ran(P) + ran(Q)."""
     _check_same_dim(p, q)
-    u, s, _ = np.linalg.svd(np.hstack([p.basis, q.basis]), full_matrices=False)
+    u, s, _ = np.linalg.svd(np.concatenate([p.basis, q.basis], axis=1), full_matrices=False)
     return Projector._from_basis(u[:, s * s > _EIG_ATOL])
 
 
@@ -86,9 +94,14 @@ def leq(p: Projector, q: Projector) -> bool:
     """Operator order: P <= Q iff <Px,x> <= <Qx,x> for every x."""
     _check_same_dim(p, q)
     residual = p.basis - q.basis @ (q.basis.T @ p.basis)
-    # its largest singular value is max sin theta_i (no angles when P = 0)
-    sines = np.linalg.svd(residual, compute_uv=False)
-    return bool(np.max(sines, initial=0.0) <= _EIG_ATOL)
+    # ||R||_2 <= ||R||_F <= sqrt(rank P) ||R||_2 (||R||_F = 0 when P = 0)
+    frobenius = np.linalg.norm(residual)
+    if frobenius <= _EIG_ATOL * (1.0 - _BRACKET_SLACK):
+        return True
+    if frobenius > math.sqrt(p.rank) * _EIG_ATOL * (1.0 + _BRACKET_SLACK):
+        return False
+    # its largest singular value is max sin theta_i
+    return bool(np.linalg.svd(residual, compute_uv=False)[0] <= _EIG_ATOL)
 
 
 @dataclass(frozen=True)

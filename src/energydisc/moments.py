@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDataset, NotPSD
-from .spectral import sym_eig, sym_matrix
+from .spectral import _vectors, sym_eig, sym_matrix
 
 # PSD slack for estimated/validated operators, relative to the trace.
 _PSD_RTOL = 1e-9
@@ -126,7 +126,7 @@ def analytic_moments(mean: Iterable, covariance: Iterable) -> MomentSummary:
     The correlation operator is derived from the rank-one split:
     K = R + ||m||^2 * p_mbar, i.e. K = R + m m^T.
     """
-    m = np.asarray(mean, dtype=float)
+    m = _vectors(mean)
     r = sym_matrix(covariance)
     if m.ndim != 1 or r.shape[0] != m.shape[0]:
         raise DimensionMismatch("mean and covariance dimensions differ")

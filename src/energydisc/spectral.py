@@ -37,6 +37,14 @@ def _float_array(entries: Iterable) -> np.ndarray:
         raise InvalidMatrix("matrix must be a rectangular array of real numbers") from exc
 
 
+def _vectors(x) -> np.ndarray:
+    """`x` as a float array; DimensionMismatch if its rows are ragged or not numbers."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise DimensionMismatch("vectors must be rows of numbers of one length") from exc
+
+
 def sym_matrix(entries: Iterable) -> np.ndarray:
     """Build an n-by-n real symmetric matrix.
 
@@ -126,9 +134,10 @@ class Projector:
     @classmethod
     def _from_basis(cls, basis: np.ndarray) -> "Projector":
         """Projector onto the span of orthonormal columns (checked within 1e-9)."""
-        gram = basis.T @ basis
+        gram = basis.T @ basis  # a new array: U^T U - I is formed in it
+        gram.reshape(-1)[::gram.shape[0] + 1] -= 1.0
         # written as not (err <= tol) so that NaN entries fail
-        if not np.max(np.abs(gram - np.eye(basis.shape[1])), initial=0.0) <= _PROJ_ATOL:
+        if not np.abs(gram, out=gram).max(initial=0.0) <= _PROJ_ATOL:
             raise InvalidMatrix("projector basis is not orthonormal")
         p = cls.__new__(cls)
         p._basis = basis
@@ -164,26 +173,34 @@ def projector_from_basis(vectors: Sequence, dim: int | None = None) -> Projector
     The span is found by a rank-revealing SVD of the vectors taken as
     columns: left singular vectors whose singular value is at most 1e-10
     times the largest input norm are dropped, so the rank is the
-    dimension of the span, and the kept ones are the stored basis. An
-    empty sequence gives the zero projector, in which case `dim` is
-    required.
+    dimension of the span, and the kept ones are the stored basis. The
+    vectors are first scaled by the power of two that brings their largest
+    entry into [1/2, 1), which is exact, so the rank does not depend on
+    their scale and no norm overflows or underflows. An empty sequence
+    gives the zero projector, in which case `dim` is required.
+
+    Raises:
+        DimensionMismatch: vectors that are not numbers of one length, or
+            a length other than `dim`.
+        InvalidMatrix: an entry that is nan or inf.
     """
-    vecs = [np.asarray(u, dtype=float) for u in vectors]
-    if vecs:
-        n = vecs[0].shape[0]
-        if dim is not None and dim != n:
-            raise DimensionMismatch(f"dim={dim} but vectors have length {n}")
-    elif dim is None:
-        raise DimensionMismatch("empty basis needs an explicit dim")
-    else:
+    vecs = [_vectors(u) for u in vectors]
+    if not vecs:
+        if dim is None:
+            raise DimensionMismatch("empty basis needs an explicit dim")
         return zero_projector(dim)
-    if any(u.ndim != 1 or u.shape[0] != n for u in vecs):
+    if any(u.ndim != 1 or u.shape != vecs[0].shape for u in vecs):
         raise DimensionMismatch("basis vectors must share one dimension")
+    n = vecs[0].shape[0]
+    if dim is not None and dim != n:
+        raise DimensionMismatch(f"dim={dim} but vectors have length {n}")
     columns = np.column_stack(vecs)
-    if not np.all(np.isfinite(columns)):
+    top = np.abs(columns).max(initial=0.0)
+    if not np.isfinite(top):
         raise InvalidMatrix("basis vectors must be finite")
+    columns = np.ldexp(columns, -np.frexp(top)[1])
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    return Projector._from_basis(u[:, s > 1e-10 * np.max(np.linalg.norm(columns, axis=0))])
+    return Projector._from_basis(u[:, s > 1e-10 * np.linalg.norm(columns, axis=0).max()])
 
 
 def zero_projector(dim: int) -> Projector:

@@ -8,6 +8,8 @@ numpy's generator, which draws the frames and vectors; Hypothesis draws
 from a fixed seed (`derandomize=True`), so the suite stays deterministic.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,15 @@ def test_membership_is_modular_on_commuting_pairs(pair, scale):
     x = rng.standard_normal(frame.shape[0]) * 10.0**scale
     lhs = membership(join(p, q), x) + membership(meet(p, q), x)
     assert abs(lhs - membership(p, x) - membership(q, x)) <= _MU_TOL * float(x @ x)
+
+
+@PROPERTY
+@given(frames(), st.integers(1, 6), st.integers(-900, 900))
+def test_span_rank_does_not_depend_on_scale(frame, count, k):
+    # small integer spanning sets, often dependent, so that 2^k V is exact
+    n, _, rng = frame
+    inner = int(rng.integers(0, min(n, count) + 1))
+    v = (rng.integers(-3, 4, (n, inner)) @ rng.integers(-3, 4, (inner, count))).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _span(np.ldexp(v, k)).rank == _span(v).rank

@@ -257,6 +257,70 @@ def test_cutoff_is_an_angle():
         assert leq(p, q) is below
 
 
+def _tilted_from(q_axes, sines):
+    """P spanned by one direction per entry of `sines`: axis i of Q tilted
+    toward its own axis outside ran Q by an angle of that sine; Q is
+    spanned by the first `q_axes` axes."""
+    n = q_axes + len(sines)
+    frame = np.eye(n)
+    q = projector_from_basis(list(frame[:, :q_axes].T), dim=n)
+    tilted = [np.sqrt(1.0 - s * s) * frame[:, i] + s * frame[:, q_axes + i]
+              for i, s in enumerate(sines)]
+    return projector_from_basis(tilted, dim=n), q
+
+
+def _count_svd(monkeypatch):
+    """The list that each later call of np.linalg.svd appends to."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    return calls
+
+
+# In the band 1e-8 < ||R||_F <= sqrt(rank P) * 1e-8, R = U_P - U_Q U_Q^T U_P,
+# the norm leaves the order open and one SVD decides it; outside, none runs.
+@pytest.mark.parametrize("sines, below, in_band", [
+    ((0.9e-8, 0.9e-8, 0.9e-8), True, True),  # ||R||_F = 1.56e-8
+    ((1.1e-8, 0.5e-8, 0.5e-8), False, True),  # ||R||_F = 1.31e-8
+    ((1.1e-8, 1.1e-8, 1.1e-8), False, False),  # ||R||_F = 1.91e-8
+    ((0.5e-8,), True, False),
+    ((1.1e-8,), False, False),
+    ((0.0, 0.5e-8), True, False),
+    ((0.0, 0.0, 0.0), True, False),
+])
+def test_order_in_and_out_of_the_frobenius_band(monkeypatch, sines, below, in_band):
+    p, q = _tilted_from(3, sines)
+    frobenius = np.linalg.norm(p.basis - q.basis @ (q.basis.T @ p.basis))
+    assert bool(1e-8 < frobenius <= np.sqrt(p.rank) * 1e-8) is in_band
+    calls = _count_svd(monkeypatch)
+    assert leq(p, q) is below
+    assert len(calls) == in_band
+    monkeypatch.undo()
+    assert eigh_leq(p, q) is below
+
+
+def test_order_of_a_settled_pair_makes_no_svd(monkeypatch):
+    plane = projector_from_basis([np.eye(3)[0], np.eye(3)[1]])
+    line = projector_from_basis([np.array([1.0, 1.0, 0.0])])
+    skew = projector_from_basis([np.array([1.0, 0.0, 1.0])])
+    monkeypatch.setattr(np.linalg, "svd", None)
+    assert leq(line, plane) and leq(zero_projector(3), line) and leq(plane, plane)
+    assert not leq(plane, line) and not leq(skew, plane) and not leq(identity_projector(3), plane)
+
+
+@pytest.mark.parametrize("sine, toward, below", [
+    (0.99e-8, 1.0, True),  # a norm an ulp above the bound of rank 1
+    (1.01e-8, 0.0, False),  # a norm an ulp below the cutoff
+])
+def test_a_norm_within_rounding_of_a_bound_goes_to_the_svd(monkeypatch, sine, toward, below):
+    # for rank 1 the bracket is one point, so a norm and a singular value
+    # that round apart must not settle the order from the norm
+    p, q = _tilted_from(1, (sine,))
+    monkeypatch.setattr(np.linalg, "norm", lambda *args: np.nextafter(1e-8, toward))
+    calls = _count_svd(monkeypatch)
+    assert leq(p, q) is below
+    assert calls == [1]
+
+
 # -- the paper's logic: orthomodular, not distributive ----------------------
 
 

@@ -10,7 +10,9 @@ from energydisc import (
     complement,
     expected_quadratic,
     gen_example1,
+    gen_example2,
     identity_projector,
+    membership,
     projector_from_basis,
     sym_eig,
     sym_matrix,
@@ -175,6 +177,8 @@ def test_projector_empty_basis_needs_dim():
 def test_projector_rejects_mixed_dimensions():
     with pytest.raises(DimensionMismatch):
         projector_from_basis([np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])])
+    with pytest.raises(DimensionMismatch, match="share one dimension"):
+        projector_from_basis([3.0])  # a number is not a vector
 
 
 def test_projector_drops_dependent_vectors():
@@ -271,6 +275,58 @@ def test_projector_repr():
 def test_projector_from_basis_rejects_nonfinite():
     with pytest.raises(InvalidMatrix):
         projector_from_basis([np.array([np.nan, 1.0])])
+
+
+def test_projector_from_basis_takes_vectors_whose_norm_overflows():
+    p = projector_from_basis([[1e200, 1e200]])
+    assert p.rank == 1
+    np.testing.assert_allclose(p.matrix, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e-300, 1e170])
+def test_projector_from_basis_rank_does_not_depend_on_scale(scale):
+    # the second vector is 1e-20 of the first, below the 1e-10 cutoff at any scale
+    assert projector_from_basis([[scale, 0.0], [0.0, 1e-20 * scale]]).rank == 1
+    assert projector_from_basis([[scale, 0.0], [0.0, 1e-5 * scale]]).rank == 2
+
+
+@pytest.mark.parametrize("bad", [[[1.0], [1.0, 2.0]], ["a", "b"]], ids=["ragged", "not-numbers"])
+@pytest.mark.parametrize("call", [
+    lambda v: gen_example1(2, v, [0.0, 1.0], np.eye(2), per_class=2, seed=0),
+    lambda v: gen_example1(2, [1.0, 0.0], v, np.eye(2), per_class=2, seed=0),
+    lambda v: gen_example2(2, v, 1.0, per_class=2, seed=0),
+    lambda v: analytic_moments(v, np.eye(2)),
+    lambda v: membership(identity_projector(2), v),
+    lambda v: projector_from_basis([v]),
+], ids=["gen_example1-m1", "gen_example1-m2", "gen_example2-a", "analytic_moments-mean",
+        "membership-x", "projector_from_basis"])
+def test_vectors_that_are_not_numbers_of_one_length_are_a_dimension_mismatch(call, bad):
+    with pytest.raises(DimensionMismatch, match="numbers of one length"):
+        call(bad)
+
+
+@pytest.mark.parametrize("basis", [
+    np.array([[1.0, 0.0], [0.0, np.nan]]),
+    np.array([[1.0 + 2e-9], [0.0]]),
+    np.array([[1.0, 2e-9], [0.0, 1.0]]),
+], ids=["nan", "long-column", "skew-columns"])
+def test_basis_check_refuses_a_basis_off_by_more_than_1e_9(basis):
+    with pytest.raises(InvalidMatrix, match="not orthonormal"):
+        Projector._from_basis(basis)
+
+
+@pytest.mark.parametrize("basis", [
+    np.zeros((3, 0)),
+    np.array([[1.0 + 4e-10], [0.0]]),
+    np.array([[1.0, 9e-10], [0.0, 1.0]]),
+    np.asfortranarray(random_projector(np.random.default_rng(44), 6, 3).basis),
+    np.repeat(random_projector(np.random.default_rng(45), 6, 4).basis, 2, axis=0)[::2, ::2],
+], ids=["n-by-0", "long-column", "skew-columns", "column-major", "strided-view"])
+def test_basis_check_keeps_the_basis_it_accepts_unchanged(basis):
+    before = basis.copy()
+    p = Projector._from_basis(basis)
+    assert p.basis is basis and p.rank == basis.shape[1]
+    np.testing.assert_array_equal(basis, before)
 
 
 def test_eig_solver_failure_is_invalid_matrix(monkeypatch):
