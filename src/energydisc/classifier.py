@@ -139,7 +139,7 @@ def _mode_matrix(moments: MomentSummary, mode: NormalizationMode) -> np.ndarray:
 def _pair_from_smaller_basis(basis: np.ndarray, rank1: int) -> tuple[Projector, Projector]:
     """(P_1, P_2) from the smaller of the two bases: U_1 (n-by-rank1) if
     rank1 <= n - rank1, else U_2; the larger side is its complement.
-    `fit` and the version-2 model reader both build the pair here, so a
+    `fit` and the model reader both build the pair here, so a
     loaded model equals the fitted one bit for bit."""
     small = Projector._from_basis(basis)
     if rank1 <= basis.shape[0] - rank1:
@@ -390,21 +390,19 @@ def snr(a, sigma2: float, n: int | None = None) -> float:
 
 # -- model persistence ---------------------------------------------------
 #
-# Versioned key=value text. Version 2, the one written, stores the
-# smaller of the fit's two eigenbases: after the header, `rank1=k` and
-# then `U1=` (the n-by-k basis of P_1, row-major) if k <= n - k, else
-# `U2=` (the n-by-(n-k) basis of P_2), empty when k is 0 or n; the other
-# side is rebuilt as its complement, as `fit` builds it. Version 1 stores
-# the n-by-n matrix P1 and is still read as `Projector(P1, rank)`, with
-# P2 its complement. Either way the stored spectrum must descend and hold
-# exactly rank(P1) eigenvalues above fit's eps, which the writer checks
-# too. All floats are written with 17 significant digits so a save/load
-# round trip is bit-exact and decisions are reproducible.
+# Versioned key=value text, version 2 only: the header, then `rank1=k`
+# and the smaller of the fit's two eigenbases, `U1=` (the n-by-k basis of
+# P_1, row-major) if k <= n - k, else `U2=` (the n-by-(n-k) basis of P_2),
+# empty when k is 0 or n; the other side is rebuilt as its complement, as
+# `fit` builds it. A file of any other format_version is refused with
+# advice to refit, which writes version 2. The stored spectrum must
+# descend and hold exactly rank(P1) eigenvalues above fit's eps, which the
+# writer checks too. All floats are written with 17 significant digits so
+# a save/load round trip is bit-exact and decisions are reproducible.
 
 _HEADER_KEYS = ("format_version", "n", "mode", "p1", "p2", "trK1", "trK2",
                 "m1", "m2", "spectrum")
-_VERSION_KEYS = {"1": ("P1",), "2": ("rank1", "U1", "U2")}
-_MODEL_KEYS = _HEADER_KEYS + _VERSION_KEYS["1"] + _VERSION_KEYS["2"]
+_MODEL_KEYS = _HEADER_KEYS + ("rank1", "U1", "U2")
 
 
 def _fmt_floats(values: np.ndarray) -> str:
@@ -443,44 +441,43 @@ def format_model(clf: EnergyClassifier) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _model_fields(text: str) -> tuple[str, dict[str, str]]:
-    """The format version and the key=value fields of a model text, with
-    the set of keys checked against that version."""
+def _model_fields(text: str) -> dict[str, str]:
+    """The key=value fields of a version-2 model text. Another version is
+    refused before any bad line is named, so an old file is told to refit."""
     fields: dict[str, str] = {}
     linenos: dict[str, int] = {}
+    bad = None  # the first bad line, raised once the version is known
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
         if not sep or key not in _MODEL_KEYS:
-            raise ParseError(f"unexpected model line {raw!r}", lineno)
-        if key in fields:
-            raise ParseError(f"repeated model field {key!r}", lineno)
-        fields[key] = value
-        linenos[key] = lineno
+            bad = bad or ParseError(f"unexpected model line {raw!r}", lineno)
+        elif key in fields:
+            bad = bad or ParseError(f"repeated model field {key!r}", lineno)
+        else:
+            fields[key] = value
+            linenos[key] = lineno
     version = fields.get("format_version")
+    if version not in (None, "2"):
+        raise ParseError(f"unsupported format_version {version!r}; refit the model")
+    if bad:
+        raise bad
     if version is None:
         raise ParseError("model file is missing its format_version field")
-    if version not in _VERSION_KEYS:
-        raise ParseError(f"unsupported format_version {version!r}")
-    own = _VERSION_KEYS[version]
-    for key, lineno in linenos.items():
-        if key not in _HEADER_KEYS and key not in own:
-            raise ParseError(f"field {key!r} is not part of format_version {version}", lineno)
-    required = _HEADER_KEYS + (("P1",) if version == "1" else ("rank1",))
-    missing = [k for k in required if k not in fields]
-    if version == "2" and "U1" not in fields and "U2" not in fields:
+    missing = [k for k in _HEADER_KEYS + ("rank1",) if k not in fields]
+    if "U1" not in fields and "U2" not in fields:
         missing.append("U1 or U2")
     if missing:
         raise ParseError(f"model file is missing fields: {', '.join(missing)}")
     if "U1" in fields and "U2" in fields:
         raise ParseError("model holds both U1 and U2", max(linenos["U1"], linenos["U2"]))
-    return version, fields
+    return fields
 
 
 def parse_model(text: str) -> EnergyClassifier:
-    version, fields = _model_fields(text)
+    fields = _model_fields(text)
     basis_key = "U1" if "U1" in fields else "U2"
     try:
         n = int(fields["n"])
@@ -492,41 +489,25 @@ def parse_model(text: str) -> EnergyClassifier:
         mean1 = _parse_floats(fields["m1"])
         mean2 = _parse_floats(fields["m2"])
         spectrum = _parse_floats(fields["spectrum"])
-        if version == "1":
-            entries = _parse_floats(fields["P1"])
-        else:
-            entries = _parse_floats(fields[basis_key]) if fields[basis_key] else np.empty(0)
+        entries = _parse_floats(fields[basis_key]) if fields[basis_key] else np.empty(0)
     except ValueError as exc:
         raise ParseError(f"bad model field: {exc}") from exc
     if n < 1:
         raise ParseError(f"n={n} must be at least 1")
-    if version == "1":
-        if entries.shape != (n * n,):
-            raise ParseError("P1 must hold n*n row-major entries")
-    else:
-        rank1 = int(fields["rank1"]) if fields["rank1"].isdecimal() else -1
-        if not 0 <= rank1 <= n:
-            raise ParseError(f"rank1={fields['rank1']} must be an integer in [0, n={n}]")
-        cols = min(rank1, n - rank1)
-        if basis_key != ("U1" if rank1 <= n - rank1 else "U2"):
-            raise ParseError(f"rank1={rank1} with n={n} needs the smaller basis, "
-                             f"not {basis_key}")
-        if entries.shape != (n * cols,):
-            raise ParseError(f"{basis_key} must hold n*{cols} row-major entries")
+    rank1 = int(fields["rank1"]) if fields["rank1"].isdecimal() else -1
+    if not 0 <= rank1 <= n:
+        raise ParseError(f"rank1={fields['rank1']} must be an integer in [0, n={n}]")
+    cols = min(rank1, n - rank1)
+    if basis_key != ("U1" if rank1 <= n - rank1 else "U2"):
+        raise ParseError(f"rank1={rank1} with n={n} needs the smaller basis, not {basis_key}")
+    if entries.shape != (n * cols,):
+        raise ParseError(f"{basis_key} must hold n*{cols} row-major entries")
     if not np.all(np.isfinite(entries)):
         raise ParseError("model fields must be finite numbers")
     # before the pair is built: a short text must not make complement's n-by-n QR
     if not mean1.shape == mean2.shape == spectrum.shape == (n,):
         raise ParseError(f"mean1, mean2 and spectrum must have length dim={n}")
-    if version == "1":
-        p1_matrix = entries.reshape(n, n)
-        # entries outside [-1, 1] make Projector refuse the matrix whatever
-        # the rank; clipped, they cannot make the trace overflow
-        rank = int(round(float(np.sum(np.clip(np.diagonal(p1_matrix), -1.0, 1.0)))))
-        proj1 = Projector(p1_matrix, rank)
-        proj2 = complement(proj1)
-    else:
-        proj1, proj2 = _pair_from_smaller_basis(entries.reshape(n, cols), rank1)
+    proj1, proj2 = _pair_from_smaller_basis(entries.reshape(n, cols), rank1)
     # the classifier owns the field rules; its errors keep their text
     try:
         clf = EnergyClassifier(dim=n, mode=mode, proj1=proj1, proj2=proj2, prior1=prior1,

@@ -235,7 +235,9 @@ def save_csv(data, path) -> None:
     `data` is a LabeledDataset, or an iterable of at least one
     (labels, features) block, all of one width, each checked as a
     LabeledDataset before it is written. The bytes do not depend on
-    where the blocks end.
+    where the blocks end. A block refused after the first, or any other
+    error while writing, leaves a regular file empty, so no shorter CSV
+    is mistaken for the whole one.
     """
     blocks = iter([data] if isinstance(data, LabeledDataset)
                   else (LabeledDataset(labels, features) for labels, features in data))
@@ -249,15 +251,21 @@ def save_csv(data, path) -> None:
     row_fmt = "%d," + ",".join([_FLOAT_FMT] * n) + "\n"
     step = max(1, _WRITE_FLOATS // n)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for block in itertools.chain([first], blocks):
-            if block.dim != n:
-                raise DimensionMismatch(f"block of width {block.dim} after width {n}")
-            for start in range(0, len(block), step):
-                part = slice(start, start + step)
-                for label, row in zip(block.labels[part].tolist(),
-                                      block.features[part].tolist()):
-                    fh.write(row_fmt % (label, *row))
+        try:
+            fh.write(header + "\n")
+            for block in itertools.chain([first], blocks):
+                if block.dim != n:
+                    raise DimensionMismatch(f"block of width {block.dim} after width {n}")
+                for start in range(0, len(block), step):
+                    part = slice(start, start + step)
+                    for label, row in zip(block.labels[part].tolist(),
+                                          block.features[part].tolist()):
+                        fh.write(row_fmt % (label, *row))
+        except BaseException:
+            # load_csv refuses an empty file; a pipe or device keeps what it took
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
+            raise
 
 
 def _check_room(path, rows: int, n: int) -> None:

@@ -14,9 +14,9 @@ join from the eigenvalue-2 and nonzero eigenspaces of P + Q, the order
 from the smallest eigenvalue of Q - P, all with the same 1e-8 cutoff.
 The package now computes them from the orthonormal bases.
 
-`format_model_v1` and `format_model_v2` write model text with every
-float formatted on its own. Version 1, which stores the n-by-n P1, is no
-longer written by the package but is still read. `matrix_discriminants`
+`format_model_v2` writes model text with every float formatted on its
+own. `V1_MODEL` is a model text of the retired format version 1, which
+stored the n-by-n matrix P1; the package refuses it. `matrix_discriminants`
 and `matrix_energy_r` are the package's former scoring and energy
 bookkeeping, which worked on the n-by-n projectors.
 """
@@ -179,18 +179,8 @@ def _entries(values) -> str:
     return ",".join("%.17g" % v for v in np.asarray(values, dtype=float).ravel())
 
 
-def _header_fields(clf, version):
-    return [("format_version", str(version)), ("n", str(clf.dim)), ("mode", clf.mode.value),
-            ("p1", "%.17g" % clf.prior1), ("p2", "%.17g" % clf.prior2),
-            ("trK1", "%.17g" % clf.tr_k1), ("trK2", "%.17g" % clf.tr_k2),
-            ("m1", _entries(clf.mean1)), ("m2", _entries(clf.mean2)),
-            ("spectrum", _entries(clf.spectrum))]
-
-
-def format_model_v1(clf) -> str:
-    """Version-1 model text: the header, then P1 as n*n row-major entries."""
-    fields = _header_fields(clf, 1) + [("P1", _entries(clf.proj1.matrix))]
-    return "".join(f"{key}={value}\n" for key, value in fields)
+V1_MODEL = ("format_version=1\nn=2\nmode=raw\np1=0.5\np2=0.5\ntrK1=1\ntrK2=1\n"
+            "m1=0,0\nm2=0,0\nspectrum=1,0\nP1=1,0,0,0\n")
 
 
 def format_model_v2(clf) -> str:
@@ -198,7 +188,12 @@ def format_model_v2(clf) -> str:
     k <= n - k, else U2 (n-by-(n-k)), row-major."""
     n, k = clf.dim, clf.proj1.rank
     key, proj = ("U1", clf.proj1) if k <= n - k else ("U2", clf.proj2)
-    fields = _header_fields(clf, 2) + [("rank1", str(k)), (key, _entries(proj.basis))]
+    fields = [("format_version", "2"), ("n", str(n)), ("mode", clf.mode.value),
+              ("p1", "%.17g" % clf.prior1), ("p2", "%.17g" % clf.prior2),
+              ("trK1", "%.17g" % clf.tr_k1), ("trK2", "%.17g" % clf.tr_k2),
+              ("m1", _entries(clf.mean1)), ("m2", _entries(clf.mean2)),
+              ("spectrum", _entries(clf.spectrum)), ("rank1", str(k)),
+              (key, _entries(proj.basis))]
     return "".join(f"{key}={value}\n" for key, value in fields)
 
 

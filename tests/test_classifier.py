@@ -37,7 +37,7 @@ from energydisc import (
     zero_projector,
 )
 from helpers import (
-    format_model_v1,
+    V1_MODEL,
     format_model_v2,
     matrix_discriminants,
     matrix_energy_r,
@@ -597,22 +597,13 @@ def _sampled_fit(n, mode):
 @pytest.mark.parametrize("mode", list(NormalizationMode))
 @pytest.mark.parametrize("n", [1, 3, 64])
 def test_format_model_matches_per_entry_format(n, mode):
-    clf, _ = _sampled_fit(n, mode)
+    # a loaded model is scored on its bases and labels every row as the
+    # former scoring on its n-by-n projectors did
+    clf, x = _sampled_fit(n, mode)
     text = format_model(clf)
     assert text == format_model_v2(clf)
-    assert format_model(parse_model(text)) == text
-
-
-@pytest.mark.parametrize("mode", list(NormalizationMode))
-@pytest.mark.parametrize("n", [1, 3, 64])
-def test_v1_model_still_loads(n, mode):
-    # a version-1 file keeps its P1 bit for bit, is scored on the bases
-    # it loads to, and labels every row as the former scoring on its
-    # n-by-n projectors did
-    clf, x = _sampled_fit(n, mode)
-    text = format_model_v1(clf)
     back = parse_model(text)
-    assert format_model_v1(back) == text
+    assert format_model(back) == text
     g1, g2 = matrix_discriminants(back, x)
     np.testing.assert_array_equal(decide_batch(back, x), np.where(g1 > g2, 1, 2))
 
@@ -679,39 +670,39 @@ def test_save_model_refuses_a_spectrum_the_reader_refuses(tmp_path):
 
 
 def test_parse_model_rejects_garbage():
-    clf = fit(*gaussian_pair())
-    text = format_model_v1(clf)
-    with pytest.raises(ParseError):
+    text = format_model(fit(*gaussian_pair()))
+    with pytest.raises(ParseError, match="^line 13: unexpected model line 'mystery=1'$"):
         parse_model(text + "mystery=1\n")
-    with pytest.raises(ParseError):
-        parse_model(text.replace("format_version=1", "format_version=2"))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^model file is missing its format_version field$"):
         parse_model("\n".join(text.splitlines()[1:]))  # header dropped
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^bad model field: could not convert"):
         parse_model(text.replace("p1=", "p1=abc;"))
 
 
-def test_parse_model_v2_rejects_garbage():
+@pytest.mark.parametrize("version", ["1", "3", "", "2.0"])
+def test_parse_model_refuses_another_format_version(version):
+    text = format_model(fit(*gaussian_pair()))
+    with pytest.raises(ParseError, match=f"^unsupported format_version '{version}'; "
+                                         "refit the model$"):
+        parse_model(text.replace("format_version=2", f"format_version={version}"))
+
+
+def test_parse_model_refuses_a_v1_file_before_naming_its_p1_line():
+    with pytest.raises(ParseError, match="^unsupported format_version '1'; "
+                                         "refit the model$") as info:
+        parse_model(V1_MODEL)
+    assert info.value.line is None
+    # the version is read wherever it stands, after a bad line too
+    lines = V1_MODEL.splitlines()
+    with pytest.raises(ParseError, match="format_version '1'"):
+        parse_model("\n".join(lines[1:] + ["mystery", lines[0]]))
+
+
+def test_parse_model_rejects_repeated_field():
     clf = fit(*gaussian_pair())
     text = format_model(clf)
-    with pytest.raises(ParseError):
-        parse_model(text + "mystery=1\n")
-    with pytest.raises(ParseError):
-        parse_model(text.replace("format_version=2", "format_version=3"))
-    with pytest.raises(ParseError):
-        parse_model(text.replace("format_version=2", "format_version=1"))
-    with pytest.raises(ParseError):
-        parse_model("\n".join(text.splitlines()[1:]))  # header dropped
-    with pytest.raises(ParseError):
-        parse_model(text.replace("p1=", "p1=abc;"))
-
-
-@pytest.mark.parametrize("version", [1, 2])
-def test_parse_model_rejects_repeated_field(version):
-    clf = fit(*gaussian_pair())
-    text = format_model_v1(clf) if version == 1 else format_model(clf)
     assert "mode=raw\n" in text
-    with pytest.raises(ParseError) as info:
+    with pytest.raises(ParseError, match="repeated model field 'mode'") as info:
         parse_model(text + "mode=centered\n")
     assert info.value.line == len(text.splitlines()) + 1
 
@@ -721,35 +712,18 @@ def _replace_field(text, key, value):
                    for ln in text.splitlines())
 
 
-@pytest.mark.parametrize("key, value", [("P1", "nan,0,0,0"), ("m1", "inf,0"),
-                                        ("trK2", "nan"), ("spectrum", "2,-inf")])
-def test_parse_model_rejects_nonfinite_fields(key, value):
-    text = format_model_v1(fit(*gaussian_pair()))
-    with pytest.raises(ParseError):
-        parse_model(_replace_field(text, key, value))
-
-
 @pytest.mark.parametrize("key, value", [("U1", "nan,0"), ("m1", "inf,0"),
                                         ("trK2", "nan"), ("spectrum", "2,-inf")])
-def test_parse_model_v2_rejects_nonfinite_fields(key, value):
+def test_parse_model_rejects_nonfinite_fields(key, value):
+    # the basis is checked by the reader, the other fields by the classifier
     text = format_model(fit(*gaussian_pair()))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^(model|classifier) fields must be finite numbers$"):
         parse_model(_replace_field(text, key, value))
-
-
-@pytest.mark.parametrize("key", ["m1", "m2", "spectrum", "P1"])
-@pytest.mark.parametrize("entry", ["abc", "", "1.5.2"])
-def test_parse_model_rejects_bad_vector_entry(key, entry):
-    text = format_model_v1(fit(*gaussian_pair()))
-    value = text.split(f"\n{key}=", 1)[1].split("\n", 1)[0].split(",")
-    value[-1] = entry
-    with pytest.raises(ParseError, match="bad model field: could not convert"):
-        parse_model(_replace_field(text, key, ",".join(value)))
 
 
 @pytest.mark.parametrize("key", ["m1", "m2", "spectrum", "U1"])
 @pytest.mark.parametrize("entry", ["abc", "", "1.5.2"])
-def test_parse_model_v2_rejects_bad_vector_entry(key, entry):
+def test_parse_model_rejects_bad_vector_entry(key, entry):
     text = format_model(fit(*gaussian_pair()))
     value = text.split(f"\n{key}=", 1)[1].split("\n", 1)[0].split(",")
     value[-1] = entry
@@ -759,28 +733,23 @@ def test_parse_model_v2_rejects_bad_vector_entry(key, entry):
 
 @pytest.mark.parametrize("tr_k1, tr_k2", [("0", "2"), ("2", "-1"), ("-0.5", "-0.5")])
 def test_parse_model_rejects_nonpositive_traces_in_trace_mode(tr_k1, tr_k2):
-    clf = fit(*gaussian_pair(), NormalizationMode.TRACE)
-    for text in (format_model(clf), format_model_v1(clf)):
-        text = _replace_field(_replace_field(text, "trK1", tr_k1), "trK2", tr_k2)
-        with pytest.raises(ParseError, match="trace mode"):
-            parse_model(text)
+    text = format_model(fit(*gaussian_pair(), NormalizationMode.TRACE))
+    text = _replace_field(_replace_field(text, "trK1", tr_k1), "trK2", tr_k2)
+    with pytest.raises(ParseError, match="trace mode"):
+        parse_model(text)
 
 
 @pytest.mark.parametrize("p1, p2", [("7", "-6"), ("0", "1"), ("0.3", "0.3")])
 def test_parse_model_rejects_bad_priors(p1, p2):
-    clf = fit(*gaussian_pair())
-    for text in (format_model(clf), format_model_v1(clf)):
-        with pytest.raises(ParseError):
-            parse_model(_replace_field(_replace_field(text, "p1", p1), "p2", p2))
+    text = format_model(fit(*gaussian_pair()))
+    with pytest.raises(ParseError, match=r"^priors .* must lie in \(0,1\) and sum to 1$"):
+        parse_model(_replace_field(_replace_field(text, "p1", p1), "p2", p2))
 
 
 def test_parse_model_checks_entry_counts():
-    clf = fit(*gaussian_pair())
-    for text in (format_model(clf), format_model_v1(clf)):
-        lines = text.splitlines()
-        lines = [ln if not ln.startswith("spectrum=") else "spectrum=1" for ln in lines]
-        with pytest.raises(ParseError):
-            parse_model("\n".join(lines) + "\n")
+    text = _replace_field(format_model(fit(*gaussian_pair())), "spectrum", "1")
+    with pytest.raises(ParseError, match="must have length dim=2"):
+        parse_model(text)
 
 
 def test_parse_model_refuses_short_vectors_before_building_the_pair():
@@ -849,24 +818,20 @@ def test_parse_model_v2_needs_exactly_the_smaller_basis():
         parse_model(text.replace("\nU1=", "\nU2="))
 
 
-def test_parse_model_rejects_fields_of_the_other_version():
-    clf = fit(*gaussian_pair())
-    v1, v2 = format_model_v1(clf), format_model(clf)
-    with pytest.raises(ParseError, match="not part of format_version 2"):
-        parse_model(v2 + "P1=1,0,0,0\n")
-    with pytest.raises(ParseError, match="not part of format_version 1"):
-        parse_model(v1 + "rank1=1\n")
+def test_parse_model_refuses_a_p1_line_in_a_v2_file():
+    text = format_model(fit(*gaussian_pair()))
+    with pytest.raises(ParseError, match="^line 13: unexpected model line 'P1=1,0,0,0'$"):
+        parse_model(text + "P1=1,0,0,0\n")
 
 
-@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("spectrum", [
     "-3,-7",  # no eigenvalue above eps, but P1 has rank 1
     "-0.5,2",  # one above eps, but ascending
     "2,0.5",  # one eigenvalue above eps too many
 ])
-def test_parse_model_checks_spectrum_against_rank(version, spectrum):
+def test_parse_model_checks_spectrum_against_rank(spectrum):
     clf = fit(*gaussian_pair())
-    text = format_model_v1(clf) if version == 1 else format_model(clf)
+    text = format_model(clf)
     assert clf.proj1.rank == 1
     with pytest.raises(ParseError, match="spectrum"):
         parse_model(_replace_field(text, "spectrum", spectrum))
@@ -880,33 +845,16 @@ def test_parse_model_spectrum_rank_uses_fit_eps():
         parse_model(_replace_field(text, "spectrum", "2,1e-9"))
 
 
-def test_v1_model_p2_is_the_complement_of_p1():
-    clf, _ = _sampled_fit(8, NormalizationMode.RAW)
-    back = parse_model(format_model_v1(clf))
-    np.testing.assert_array_equal(back.proj2.basis, complement(back.proj1).basis)
-
-
-@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("n", ["0", "-1"])
-def test_parse_model_rejects_a_dimension_below_one(version, n):
-    clf = fit(*gaussian_pair())
-    text = format_model_v1(clf) if version == 1 else format_model(clf)
+def test_parse_model_rejects_a_dimension_below_one(n):
+    text = format_model(fit(*gaussian_pair()))
     with pytest.raises(ParseError, match=f"^n={n} must be at least 1$"):
         parse_model(_replace_field(text, "n", n))
 
 
-def test_parse_model_v1_checks_p1_entry_count():
-    text = format_model_v1(fit(*gaussian_pair()))
-    for entries in ("1,0,0", "1,0,0,0,0"):
-        with pytest.raises(ParseError, match="P1 must hold n\\*n"):
-            parse_model(_replace_field(text, "P1", entries))
-
-
-@pytest.mark.parametrize("version", [1, 2])
-def test_parse_model_skips_blank_lines(version):
-    write = format_model_v1 if version == 1 else format_model
-    text = write(fit(*gaussian_pair()))
-    assert write(parse_model("\n" + text.replace("\n", "\n\n  \n"))) == text
+def test_parse_model_skips_blank_lines():
+    text = format_model(fit(*gaussian_pair()))
+    assert format_model(parse_model("\n" + text.replace("\n", "\n\n  \n"))) == text
 
 
 def test_energy_report_rejects_moments_of_another_dimension():

@@ -20,7 +20,7 @@ from energydisc import (
     unit_normalized,
 )
 from energydisc.cli import run
-from helpers import format_model_v1, subprocess_env
+from helpers import V1_MODEL, subprocess_env
 
 
 def run_cli(capsys, *argv):
@@ -309,16 +309,35 @@ def test_spectrum_rejects_a_spectrum_that_contradicts_the_rank(capsys, tmp_path)
     assert err.startswith("error:") and "spectrum" in err
 
 
+_REFIT = "error: unsupported format_version '1'; refit the model\n"
+
+
+@pytest.mark.parametrize("command", ["predict", "eval", "spectrum"])
+def test_a_v1_model_is_refused_with_advice_to_refit(capsys, tmp_path, command):
+    model_path = tmp_path / "model.txt"
+    model_path.write_text(V1_MODEL, encoding="utf-8")
+    data = ["--data", str(gen_data(capsys, tmp_path))] if command != "spectrum" else []
+    assert run_cli(capsys, command, "--model", str(model_path), *data) == (2, "", _REFIT)
+
+
+@pytest.mark.parametrize("header, err", [
+    ("format_version=3\n", "error: unsupported format_version '3'; refit the model\n"),
+    ("", "error: model file is missing its format_version field\n"),
+], ids=["version-3", "no-version"])
+def test_spectrum_names_a_model_of_no_readable_version(capsys, tmp_path, header, err):
+    model_path = fit_model(capsys, tmp_path, gen_data(capsys, tmp_path))
+    text = model_path.read_text(encoding="utf-8")
+    model_path.write_text(text.replace("format_version=2\n", header), encoding="utf-8")
+    assert run_cli(capsys, "spectrum", "--model", str(model_path)) == (2, "", err)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p1", ["1e308,0,0,1e308", "1e200,0,0,0"])
-def test_spectrum_refuses_a_v1_projector_with_huge_entries_in_one_line(capsys, tmp_path, p1):
-    # neither the trace nor P P^T may overflow before the matrix is refused
+def test_spectrum_refuses_a_v1_model_with_huge_entries_in_one_line(capsys, tmp_path, p1):
+    # the version is refused before any P1 entry is read, so nothing overflows
     model_path = tmp_path / "model.txt"
-    model_path.write_text("format_version=1\nn=2\nmode=raw\np1=0.5\np2=0.5\ntrK1=1\n"
-                          f"trK2=1\nm1=0,0\nm2=0,0\nspectrum=1,0\nP1={p1}\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "spectrum", "--model", str(model_path))
-    assert (code, out) == (2, "")
-    assert err == "error: projector matrix is not an orthogonal projection\n"
+    model_path.write_text(V1_MODEL.replace("P1=1,0,0,0", f"P1={p1}"), encoding="utf-8")
+    assert run_cli(capsys, "spectrum", "--model", str(model_path)) == (2, "", _REFIT)
 
 
 def test_spectrum_output(capsys, tmp_path):
@@ -459,32 +478,17 @@ def test_missing_files_exit_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-def _predict_on_nan_model(capsys, tmp_path, version):
+def test_predict_on_nan_model_exits_2(capsys, tmp_path):
     data = gen_data(capsys, tmp_path)
     model_path = fit_model(capsys, tmp_path, data)
-    text = model_path.read_text(encoding="utf-8")
-    if version == 1:
-        text = format_model_v1(load_model(model_path))
-    lines = text.splitlines()
-    keys = {"P1="} if version == 1 else {"U1=", "U2="}
+    lines = model_path.read_text(encoding="utf-8").splitlines()
+    keys = {"U1=", "U2="}
     assert sum(ln[:3] in keys and "," in ln for ln in lines) == 1
     lines = [ln[:3] + "nan," + ln.split(",", 1)[1] if ln[:3] in keys else ln
              for ln in lines]
     model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "predict", "--model", str(model_path),
-                             "--data", str(data))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
-    assert "Traceback" not in err
-
-
-def test_predict_on_nan_model_exits_2(capsys, tmp_path):
-    _predict_on_nan_model(capsys, tmp_path, version=1)
-
-
-def test_predict_on_nan_v2_model_exits_2(capsys, tmp_path):
-    _predict_on_nan_model(capsys, tmp_path, version=2)
+    assert run_cli(capsys, "predict", "--model", str(model_path), "--data", str(data)) == (
+        2, "", "error: model fields must be finite numbers\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

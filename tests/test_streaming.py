@@ -230,6 +230,37 @@ def test_save_csv_refuses_blocks_of_another_width(tmp_path):
     assert not (tmp_path / "y.csv").exists()
 
 
+@pytest.mark.parametrize("later, error, message", [
+    (([2], [[1.0]]), DimensionMismatch, "width 1 after width 2"),
+    (([2], [[np.nan, 1.0]]), InvalidParameter, "non-finite"),
+], ids=["width", "nan"])
+def test_save_csv_leaves_no_shorter_csv_when_a_later_block_is_refused(tmp_path, later,
+                                                                      error, message):
+    # the first block is larger than the write buffer, so part of it is on
+    # disk when the second is refused
+    first = (np.ones(5000, dtype=int), np.ones((5000, 2)))
+    path = tmp_path / "x.csv"
+    with pytest.raises(error, match=message):
+        save_csv([first, later], path)
+    assert path.read_bytes() == b""
+    with pytest.raises(ParseError, match="^line 1: missing header$"):
+        load_csv(path)
+    # a device is not truncated: the refusal is the error raised
+    with pytest.raises(error, match=message):
+        save_csv([first, later], os.devnull)
+
+
+def test_save_csv_leaves_an_empty_file_when_interrupted(tmp_path):
+    def blocks():
+        yield [1], [[1.0, 2.0]]
+        raise KeyboardInterrupt
+
+    path = tmp_path / "x.csv"
+    with pytest.raises(KeyboardInterrupt):
+        save_csv(blocks(), path)
+    assert path.read_bytes() == b""
+
+
 # -- the CLI reads once, never the whole array ---------------------------------
 
 
