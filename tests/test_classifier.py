@@ -707,13 +707,44 @@ def test_parse_model_rejects_repeated_field():
     assert info.value.line == len(text.splitlines()) + 1
 
 
+# the lines of a version-2 model of gaussian_pair, in the order written
+_MODEL_LINE_KEYS = ["format_version", "n", "mode", "p1", "p2", "trK1", "trK2",
+                    "m1", "m2", "spectrum", "rank1", "U1"]
+
+
 def _replace_field(text, key, value):
     return "".join(f"{key}={value}\n" if ln.startswith(f"{key}=") else ln + "\n"
                    for ln in text.splitlines())
 
 
+@pytest.mark.parametrize("key", _MODEL_LINE_KEYS)
+def test_parse_model_refuses_a_second_copy_of_any_line(key):
+    # even a line repeated word for word is refused, on the repeat's line
+    text = format_model(fit(*gaussian_pair()))
+    line = next(ln for ln in text.splitlines() if ln.startswith(f"{key}="))
+    with pytest.raises(ParseError, match=f"^line 13: repeated model field '{key}'$"):
+        parse_model(text + line + "\n")
+
+
+@pytest.mark.parametrize("key", [k for k in _MODEL_LINE_KEYS if k not in ("format_version", "U1")])
+def test_parse_model_names_a_missing_field(key):
+    text = format_model(fit(*gaussian_pair()))
+    kept = [ln for ln in text.splitlines() if not ln.startswith(f"{key}=")]
+    with pytest.raises(ParseError, match=f"^model file is missing fields: {key}$"):
+        parse_model("\n".join(kept) + "\n")
+
+
+@pytest.mark.parametrize("key", ["n", "mode", "p1", "p2", "trK1", "trK2"])
+@pytest.mark.parametrize("entry", ["abc", ""])
+def test_parse_model_rejects_bad_scalar_entry(key, entry):
+    text = format_model(fit(*gaussian_pair(), NormalizationMode.TRACE))
+    with pytest.raises(ParseError, match="^bad model field: "):
+        parse_model(_replace_field(text, key, entry))
+
+
 @pytest.mark.parametrize("key, value", [("U1", "nan,0"), ("m1", "inf,0"),
-                                        ("trK2", "nan"), ("spectrum", "2,-inf")])
+                                        ("trK2", "nan"), ("spectrum", "2,-inf"),
+                                        ("m2", "0,nan"), ("trK1", "inf"), ("p1", "nan")])
 def test_parse_model_rejects_nonfinite_fields(key, value):
     # the basis is checked by the reader, the other fields by the classifier
     text = format_model(fit(*gaussian_pair()))
