@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .datasets import (_FLOAT_FMT, LabeledDataset, _check_signal_in_noise,
                        _first_nonfinite_row, _parse_floats, _unit_rows, _utf8_text)
 from .errors import (DegenerateTrace, DimensionMismatch, EmptyClass, InvalidParameter,
                      ParseError)
-from .moments import MomentSummary
+from .moments import MomentSummary, _merge
 from .spectral import Projector, _vectors, complement, sym_eig
 
 
@@ -136,13 +137,20 @@ def _mode_matrix(moments: MomentSummary, mode: NormalizationMode) -> np.ndarray:
     return k
 
 
+def _stores_u1(n: int, rank1: int) -> bool:
+    """Whether U_1 (n-by-rank1) is the smaller of the two bases, the one
+    a fit keeps and a model file stores: rank1 <= n - rank1, so a tie
+    keeps U_1; otherwise U_2 is kept."""
+    return rank1 <= n - rank1
+
+
 def _pair_from_smaller_basis(basis: np.ndarray, rank1: int) -> tuple[Projector, Projector]:
-    """(P_1, P_2) from the smaller of the two bases: U_1 (n-by-rank1) if
-    rank1 <= n - rank1, else U_2; the larger side is its complement.
-    `fit` and the model reader both build the pair here, so a
-    loaded model equals the fitted one bit for bit."""
+    """(P_1, P_2) from the smaller of the two bases (see `_stores_u1`);
+    the larger side is its complement. `fit` and the model reader both
+    build the pair here, so a loaded model equals the fitted one bit for
+    bit."""
     small = Projector._from_basis(basis)
-    if rank1 <= basis.shape[0] - rank1:
+    if _stores_u1(basis.shape[0], rank1):
         return small, complement(small)
     return complement(small), small
 
@@ -171,7 +179,7 @@ def fit(
     m2 = _mode_matrix(class2.moments, mode)
     values, vectors = sym_eig(class1.prior * m1 - class2.prior * m2)
     k = _positive_rank(values)  # values descend: U_1 is the first k columns
-    smaller = vectors[:, :k] if k <= n - k else vectors[:, k:]
+    smaller = vectors[:, :k] if _stores_u1(n, k) else vectors[:, k:]
     proj1, proj2 = _pair_from_smaller_basis(smaller, k)
     return EnergyClassifier(
         dim=n,
@@ -266,14 +274,23 @@ def energy_report(clf: EnergyClassifier, class1: ClassSpec, class2: ClassSpec) -
     )
 
 
+class _Functionals(NamedTuple):
+    """The sample functionals of one scoring pass over labeled data."""
+
+    quality: float  # sum_i p_i * mean of g_i over class i
+    indicator: float  # the same with g_i replaced by the indicator of a correct decision
+    region: float  # sum_i p_i * mean over class i of g_i kept by correct decisions
+    stderr: float  # the standard error of `region`
+    accuracy: float  # the share of rows decided correctly, priors aside
+
+
 class _SampleSums:
     """Per-class sums of one scoring pass over labeled rows, added one
     block at a time, each list indexed by class - 1: the row count, the
     sums of g_i and of the indicator of a correct decision, and the mean
     and squared deviation M2 of the energy kept by correct decisions,
-    which merge by the pairwise update of Chan, Golub & LeVeque (Amer.
-    Statistician 1983). A sum of one block gives the whole-array means
-    and var(ddof=1) bit for bit.
+    merged by `moments._merge`. A sum of one block gives the whole-array
+    means and var(ddof=1) bit for bit.
     """
 
     def __init__(self, clf: EnergyClassifier):
@@ -290,26 +307,21 @@ class _SampleSums:
         for i, g in enumerate((g1, g2)):
             mine = labels == i + 1
             g, won = g[mine], hits[mine]
-            k, count = won.size, self.count[i]
+            k = won.size
             if k == 0:
                 continue
             kept = g * won  # the energy of the rows decided correctly
             mean = float(kept.mean())
             m2 = float(np.sum(np.square(kept - mean)))
-            self.count[i] = total = count + k
+            self.count[i], self.kept[i], self.m2[i] = _merge(
+                self.count[i], self.kept[i], self.m2[i], k, mean, m2)
             self.g[i] += float(g.sum())
             self.won[i] += int(np.count_nonzero(won))
-            if count == 0:
-                self.kept[i], self.m2[i] = mean, m2
-            else:
-                delta = mean - self.kept[i]
-                self.kept[i] += delta * (k / total)
-                self.m2[i] += m2 + delta * delta * (count * k / total)
 
-    def functionals(self, priors: tuple[float, float]) -> tuple[float, ...]:
-        """(quality, indicator quality, region energy, its standard error,
-        accuracy) with these class priors; a class is skipped, and may be
-        absent, only if its prior is zero (EmptyClass otherwise)."""
+    def functionals(self, priors: tuple[float, float]) -> _Functionals:
+        """The sample functionals with these class priors; a class is
+        skipped, and may be absent, only if its prior is zero (EmptyClass
+        otherwise)."""
         quality = indicator = region = variance = 0.0
         for i, prior in enumerate(priors):
             if prior == 0.0:
@@ -323,13 +335,12 @@ class _SampleSums:
             if count > 1:
                 variance += prior**2 * (self.m2[i] / (count - 1)) / count
         accuracy = sum(self.won) / sum(self.count)
-        return quality, indicator, region, float(np.sqrt(variance)), accuracy
+        return _Functionals(quality, indicator, region, float(np.sqrt(variance)), accuracy)
 
 
 def _sample_functionals(clf: EnergyClassifier, data: LabeledDataset,
-                        priors: tuple[float, float]) -> tuple[float, ...]:
-    """The sample functionals of one scoring pass over labeled data, as
-    (quality, indicator quality, region energy, its standard error, accuracy).
+                        priors: tuple[float, float]) -> _Functionals:
+    """The sample functionals of one scoring pass over labeled data.
 
     Each class term is a prior-weighted mean over that class's rows; a
     class is skipped, and may be absent, only if its prior is zero.
@@ -359,7 +370,8 @@ def empirical_quality(
     """
     if priors is None:
         priors = (clf.prior1, clf.prior2)
-    return _sample_functionals(clf, data, priors)[1 if indicator else 0]
+    functionals = _sample_functionals(clf, data, priors)
+    return functionals.indicator if indicator else functionals.quality
 
 
 def region_energy(
@@ -371,8 +383,8 @@ def region_energy(
     from the labeled samples. With `return_stderr=True` also returns the
     standard error of the estimate.
     """
-    _, _, value, stderr, _ = _sample_functionals(clf, data, (clf.prior1, clf.prior2))
-    return (value, stderr) if return_stderr else value
+    functionals = _sample_functionals(clf, data, (clf.prior1, clf.prior2))
+    return (functionals.region, functionals.stderr) if return_stderr else functionals.region
 
 
 def snr(a, sigma2: float, n: int | None = None) -> float:
@@ -423,7 +435,7 @@ def format_model(clf: EnergyClassifier) -> str:
     """Version-2 model text; InvalidParameter for a spectrum the reader refuses."""
     _check_spectrum(clf)
     n, k = clf.dim, clf.proj1.rank
-    key, smaller = ("U1", clf.proj1) if k <= n - k else ("U2", clf.proj2)
+    key, smaller = ("U1", clf.proj1) if _stores_u1(n, k) else ("U2", clf.proj2)
     lines = [
         "format_version=2",
         f"n={n}",
@@ -498,7 +510,7 @@ def parse_model(text: str) -> EnergyClassifier:
     if not 0 <= rank1 <= n:
         raise ParseError(f"rank1={fields['rank1']} must be an integer in [0, n={n}]")
     cols = min(rank1, n - rank1)
-    if basis_key != ("U1" if rank1 <= n - rank1 else "U2"):
+    if basis_key != ("U1" if _stores_u1(n, rank1) else "U2"):
         raise ParseError(f"rank1={rank1} with n={n} needs the smaller basis, not {basis_key}")
     if entries.shape != (n * cols,):
         raise ParseError(f"{basis_key} must hold n*{cols} row-major entries")

@@ -185,8 +185,8 @@ def _cmd_eval(args) -> int:
     spec1 = clf_mod.ClassSpec(model.prior1, mom1)
     spec2 = clf_mod.ClassSpec(model.prior2, mom2)
     report = clf_mod.energy_report(model, spec1, spec2)
-    quality, _, region, _, accuracy = scores.functionals((model.prior1, model.prior2))
-    lower_slack = report.enr_correct - region
+    functionals = scores.functionals((model.prior1, model.prior2))
+    lower_slack = report.enr_correct - functionals.region
     upper_slack = report.enr_error - lower_slack
     slack_tol = 1e-9 * max(1.0, abs(report.total))
     ok = lower_slack >= -slack_tol and upper_slack >= -slack_tol
@@ -199,9 +199,9 @@ def _cmd_eval(args) -> int:
         ("enr_correct", report.enr_correct),
         ("enr_error", report.enr_error),
         ("total_energy", report.total),
-        ("region_energy", region),
-        ("empirical_quality", quality),
-        ("accuracy", accuracy),
+        ("region_energy", functionals.region),
+        ("empirical_quality", functionals.quality),
+        ("accuracy", functionals.accuracy),
         ("sandwich_lower_slack", lower_slack),
         ("sandwich_upper_slack", upper_slack),
         ("sandwich_ok", "true" if ok else "false"),

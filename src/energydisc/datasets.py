@@ -43,7 +43,7 @@ from .errors import (
     ZeroSignal,
 )
 from .moments import _check_psd
-from .spectral import _vectors, sym_eig, sym_matrix
+from .spectral import _vectors, sym_matrix
 
 # Every float the package writes (CSV, model files, CLI output) uses
 # 17 significant digits, so values survive a text round trip exactly.
@@ -124,13 +124,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _psd_factor(covariance: np.ndarray) -> np.ndarray:
-    """Matrix L with L L^T equal to the (validated PSD) covariance."""
-    values, vectors = sym_eig(covariance)
-    _check_psd(covariance, values[-1])
-    return vectors * np.sqrt(np.clip(values, 0.0, None))
-
-
 def gen_example1(
     n: int,
     m1: Iterable,
@@ -153,7 +146,8 @@ def gen_example1(
     cov = sym_matrix(covariance)
     if cov.shape != (n, n):
         raise DimensionMismatch("covariance must be n-by-n")
-    factor = _psd_factor(cov)
+    values, vectors = _check_psd(cov)
+    factor = vectors * np.sqrt(np.clip(values, 0.0, None))  # factor @ factor.T = cov
     rng = make_rng(seed)
     rows1 = m1 + rng.standard_normal((per_class, n)) @ factor.T
     rows2 = m2 + rng.standard_normal((per_class, n)) @ factor.T

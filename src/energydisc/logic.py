@@ -54,24 +54,43 @@ def _check_same_dim(p: Projector, q: Projector) -> None:
         raise DimensionMismatch(f"projector dims differ: {p.dim} vs {q.dim}")
 
 
+def _exponent(v: np.ndarray) -> int:
+    """e with max|v| < 2^e (0 for a zero vector), so that v * 2^-e is below 1."""
+    return math.frexp(float(np.max(np.abs(v))))[1]
+
+
 def membership(p: Projector, x) -> float:
     """Energy of x passed by P: <Px,x> = ||U^T x||^2, always within [0, ||x||^2].
 
     Raises:
         DimensionMismatch: x is not a vector of numbers of length dim.
-        InvalidParameter: x holds nan or inf.
+        InvalidParameter: x holds nan or inf, or the energy overflows a float.
     """
     x = _vectors(x)
     if x.ndim != 1 or x.shape[0] != p.dim:
         raise DimensionMismatch(f"vector of length {x.shape} vs dim {p.dim}")
-    norm2 = float(x @ x)
+    # vdot, unlike matmul, lets a sum overflow to inf without a warning
+    norm2 = float(np.vdot(x, x))
+    if math.isfinite(norm2):
+        c = p.basis.T @ x
+        # a sum of squares keeps the value nonnegative; cap at ||x||^2 against roundoff
+        return min(float(np.vdot(c, c)), norm2)
     # ||x||^2 is finite unless x holds nan or inf or the sum overflows;
     # only then are the entries themselves looked at
-    if not math.isfinite(norm2) and not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(x)):
         raise InvalidParameter("vector entries must be finite")
-    c = p.basis.T @ x
-    # a sum of squares keeps the value nonnegative; cap at ||x||^2 against roundoff
-    return min(float(c @ c), norm2)
+    # x = 2^e y with max|y| in [2^512, 2^513), so that U^T y cannot overflow
+    # and an entry whose square is a normal float stays normal; then
+    # U^T y = 2^f z with max|z| < 1 gives <Px,x> = 2^(2e + 2f) ||z||^2.
+    # Scaling by a power of two is exact while the entries stay normal.
+    e = _exponent(x) - 513
+    c = p.basis.T @ np.ldexp(x, -e)
+    f = _exponent(c)
+    z = np.ldexp(c, -f)
+    try:
+        return math.ldexp(float(np.vdot(z, z)), 2 * (e + f))
+    except OverflowError:
+        raise InvalidParameter("the energy of the vector overflows a float") from None
 
 
 def meet(p: Projector, q: Projector) -> Projector:

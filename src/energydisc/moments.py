@@ -10,9 +10,8 @@ trace functional E<Ax,x> = tr(KA).
 
 Empirical moments are sums over the rows, so they can be gathered one
 block of rows at a time: a running sum keeps the count, the mean and the
-centered scatter, and merges each block by the pairwise update of Chan,
-Golub & LeVeque (Amer. Statistician 1983). That is how the CLI estimates
-a class from a file it never holds whole.
+centered scatter, and merges each block by the pairwise update `_merge`.
+That is how the CLI estimates a class from a file it never holds whole.
 """
 
 from __future__ import annotations
@@ -23,18 +22,35 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDataset, NotPSD
-from .spectral import _vectors, sym_eig, sym_matrix
+from .spectral import EigenDecomposition, _vectors, sym_eig, sym_matrix
 
 # PSD slack for estimated/validated operators, relative to the trace.
 _PSD_RTOL = 1e-9
 
 
-def _check_psd(covariance: np.ndarray, smallest: float) -> None:
-    """Raise NotPSD if `smallest`, the least eigenvalue of `covariance`, is
-    below -1e-9 * max(1, tr covariance)."""
+def _check_psd(covariance: np.ndarray) -> EigenDecomposition:
+    """The eigendecomposition of the symmetric `covariance`; NotPSD if its
+    least eigenvalue is below -1e-9 * max(1, tr covariance)."""
+    decomposition = sym_eig(covariance)
+    smallest = decomposition.eigenvalues[-1]
     # the diagonal is scaled before the sum, which then cannot overflow
     if smallest < -max(_PSD_RTOL, float(np.sum(_PSD_RTOL * np.diagonal(covariance)))):
         raise NotPSD(f"covariance has eigenvalue {smallest}")
+    return decomposition
+
+
+def _merge(count, mean, m2, k, block_mean, block_m2):
+    """(count, mean, M2) after adding a block of `k` rows with mean
+    `block_mean` and M2 `block_m2`, a scalar sum of squared deviations or
+    a scatter matrix, by the pairwise update of Chan, Golub & LeVeque
+    (Amer. Statistician 1983). The first block is kept as computed, so a
+    sum of one block is the whole-array value bit for bit."""
+    if count == 0:
+        return k, block_mean, block_m2
+    total = count + k
+    delta = block_mean - mean
+    return (total, mean + delta * (k / total),
+            m2 + block_m2 + np.multiply.outer(delta, delta * (count * k / total)))
 
 
 @dataclass(frozen=True)
@@ -55,18 +71,16 @@ class MomentSummary:
         return self.mean.shape[0]
 
 
+def _split(mean: np.ndarray, covariance: np.ndarray, count: int) -> MomentSummary:
+    """The moments with correlation K = R + m m^T, the rank-one split."""
+    return MomentSummary(mean, sym_matrix(covariance + np.outer(mean, mean)), covariance, count)
+
+
 class _MomentSum:
     """Count, mean and centered scatter S = sum (x - m)(x - m)^T of the rows
-    added so far, one block at a time.
-
-    A block merges by Chan, Golub & LeVeque's pairwise update: with d the
-    difference of the two means, the counts add, the mean moves by
-    d * count_b / count and the scatters add plus d d^T * count_a count_b /
-    count. The raw sum of x x^T is never formed, because S = sum x x^T -
-    N m m^T cancels for means far from the origin. The first block is
-    kept as computed, so a sum of one block is the whole-array estimate
-    bit for bit.
-    """
+    added so far, one block at a time by `_merge`. The raw sum of x x^T is
+    never formed, because S = sum x x^T - N m m^T cancels for means far
+    from the origin."""
 
     def __init__(self):
         self.count = 0
@@ -79,22 +93,12 @@ class _MomentSum:
             return
         mean = x.mean(axis=0)
         centered = x - mean
-        scatter = centered.T @ centered
-        if self.count == 0:
-            self.count, self.mean, self.scatter = k, mean, scatter
-            return
-        count = self.count + k
-        delta = mean - self.mean
-        self.scatter += scatter
-        self.scatter += np.outer(delta, delta * (self.count * k / count))
-        self.mean = self.mean + delta * (k / count)
-        self.count = count
+        self.count, self.mean, self.scatter = _merge(
+            self.count, self.mean, self.scatter, k, mean, centered.T @ centered)
 
     def summary(self) -> MomentSummary:
         """The 1/N moments of the rows added; at least one row is needed."""
-        covariance = sym_matrix(self.scatter / self.count)
-        correlation = sym_matrix(covariance + np.outer(self.mean, self.mean))
-        return MomentSummary(self.mean, correlation, covariance, self.count)
+        return _split(self.mean, sym_matrix(self.scatter / self.count), self.count)
 
 
 def estimate_moments(samples: Iterable) -> MomentSummary:
@@ -121,20 +125,15 @@ def estimate_moments(samples: Iterable) -> MomentSummary:
 
 
 def analytic_moments(mean: Iterable, covariance: Iterable) -> MomentSummary:
-    """Moments of a class given in closed form.
-
-    The correlation operator is derived from the rank-one split:
-    K = R + ||m||^2 * p_mbar, i.e. K = R + m m^T.
-    """
+    """Moments of a class given in closed form, with K = R + m m^T."""
     m = _vectors(mean)
     r = sym_matrix(covariance)
     if m.ndim != 1 or r.shape[0] != m.shape[0]:
         raise DimensionMismatch("mean and covariance dimensions differ")
     if m.shape[0] < 1:
         raise DimensionMismatch("dimension must be at least 1")
-    _check_psd(r, sym_eig(r).eigenvalues[-1])
-    k = sym_matrix(r + np.outer(m, m))
-    return MomentSummary(m, k, r, 0)
+    _check_psd(r)
+    return _split(m, r, 0)
 
 
 def expected_quadratic(a: Iterable, k: Iterable) -> float:

@@ -74,6 +74,16 @@ def test_gen_example1_with_full_covariance(capsys, tmp_path):
     assert load_csv(path).dim == 2
 
 
+def test_gen_example1_refuses_an_indefinite_covariance(capsys, tmp_path):
+    path = tmp_path / "g1.csv"
+    code, out, err = run_cli(
+        capsys, "gen-example1", "--n", "2", "--m1", "1,0", "--m2", "0,1",
+        "--cov", "1,0;0,-1", "--per-class", "2", "--seed", "0", "--out", str(path),
+    )
+    assert (code, out, err) == (2, "", "error: covariance has eigenvalue -1.0\n")
+    assert not path.exists()
+
+
 def test_fit_and_predict_round_trip(capsys, tmp_path):
     data = gen_data(capsys, tmp_path)
     model_path = fit_model(capsys, tmp_path, data)

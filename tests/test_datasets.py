@@ -174,6 +174,20 @@ def test_csv_round_trip_exact(tmp_path):
     assert path.read_bytes() == (tmp_path / "again.csv").read_bytes()
 
 
+def test_csv_bytes_of_a_seeded_dataset(tmp_path):
+    # only PCG64's standard_normal, elementwise arithmetic and %.17g make
+    # this text; no LAPACK call is involved
+    path = tmp_path / "pinned.csv"
+    save_csv(gen_example2(2, [1.5, -0.5], 0.8, per_class=2, seed=7), path)
+    assert path.read_bytes() == (
+        b"label,x1,x2\n"
+        b"1,1.5011002826120323,-0.23279386806253927\n"
+        b"1,1.2548036480816305,-1.2965695566671189\n"
+        b"2,-0.40666991321086998,-0.88695564265022941\n"
+        b"2,0.05379407352784215,1.1987249574166039\n"
+    )
+
+
 def test_csv_header_layout(tmp_path):
     data = LabeledDataset(np.array([2, 1]),
                           np.array([[1.0, 2.0, 3.0], [0.1, -3e-20, 1e300]]))

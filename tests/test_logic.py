@@ -60,6 +60,34 @@ def test_membership_dimension_check():
         membership(E1, np.array([1.0, 2.0, 3.0]))
 
 
+E2 = projector_from_basis([np.array([0.0, 1.0])])
+
+
+@pytest.mark.parametrize("p, x, want, atol", [
+    # ||x||^2 = 1e320 overflows, the energy on e_2 does not
+    (E2, [1e160, 1e100], 1e100 * 1e100, 0.0),
+    (E1, [1e150, 1e200], 1e150 * 1e150, 0.0),
+    # zero but for the roundoff of the basis, relative to ||x||^2
+    (DIAG, [1e160, -1e160], 0.0, (1e-15 * 1e160) ** 2),
+    # an energy far below ||x||^2 keeps its digits: U^T x is rescaled too
+    (E2, [1e200, 1e-100], 1e-100 * 1e-100, 0.0),
+    (E2, [1e300, 1e-150], 1e-150 * 1e-150, 0.0),
+    # no overflow; the true value, about 9e-340, rounds to 0
+    (E2, [3e-170, 4e-170], 0.0, 0.0),
+], ids=["e2", "e1", "cancelling", "small-energy", "tiny-energy", "underflow"])
+def test_membership_of_a_vector_whose_norm_overflows(p, x, want, atol):
+    got = membership(p, x)
+    assert got == pytest.approx(want, rel=1e-15, abs=atol)
+    assert FuzzyProposition(p).membership(x) == got
+
+
+@pytest.mark.parametrize("p, x", [(E1, [1e200, 0.0]), (identity_projector(2), [1e300, 1e300]),
+                                  (DIAG, [1.5e154, 1.5e154])])
+def test_membership_refuses_an_energy_that_overflows(p, x):
+    with pytest.raises(InvalidParameter, match="overflows a float"):
+        membership(p, x)
+
+
 @pytest.mark.parametrize("connective", [meet, join, leq])
 def test_connectives_reject_projectors_of_different_dims(connective):
     plane = identity_projector(3)

@@ -9,6 +9,8 @@ from energydisc import (
     estimate_moments,
     expected_quadratic,
 )
+from energydisc.moments import _check_psd, _merge
+from energydisc.spectral import sym_eig
 from helpers import max_abs, random_psd, random_symmetric
 
 
@@ -142,3 +144,36 @@ def test_analytic_moments_take_the_largest_finite_covariance():
     np.testing.assert_array_equal(summary.covariance, np.diag([big, big]))
     with pytest.raises(NotPSD):
         analytic_moments([0.0, 0.0], [[big, 0.0], [0.0, -big]])
+
+
+def _m2(x):
+    centered = x - x.mean(axis=0)
+    return centered.T @ centered
+
+
+def test_merge_keeps_the_first_block_and_merges_the_next():
+    rng = np.random.default_rng(14)
+    a, b = rng.standard_normal((5, 3)), rng.standard_normal((7, 3)) + 2.0
+    first = _merge(0, None, None, 5, a.mean(axis=0), _m2(a))
+    assert first[0] == 5
+    np.testing.assert_array_equal(first[1], a.mean(axis=0))
+    np.testing.assert_array_equal(first[2], _m2(a))
+    count, mean, m2 = _merge(*first, 7, b.mean(axis=0), _m2(b))
+    whole = np.vstack([a, b])
+    assert count == 12
+    np.testing.assert_allclose(mean, whole.mean(axis=0), rtol=1e-14)
+    np.testing.assert_allclose(m2, _m2(whole), rtol=1e-13, atol=1e-13)
+    # a scalar M2 merges as the diagonal of the matrix M2 does, bit for bit
+    for j in range(3):
+        scalar = _merge(5, first[1][j], first[2][j, j], 7, b.mean(axis=0)[j], _m2(b)[j, j])
+        assert scalar == (12, mean[j], m2[j, j])
+
+
+def test_check_psd_returns_its_eigendecomposition():
+    cov = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    values, vectors = _check_psd(cov)
+    want = sym_eig(cov)
+    np.testing.assert_array_equal(values, want.eigenvalues)
+    np.testing.assert_array_equal(vectors, want.eigenvectors)
+    with pytest.raises(NotPSD, match=r"^covariance has eigenvalue -1\.0$"):
+        _check_psd(np.diag([1.0, -1.0]))

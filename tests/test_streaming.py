@@ -163,6 +163,16 @@ def test_sample_functionals_give_the_whole_array_floats(mode, priors):
         assert empirical_quality(clf, data, indicator=True) == want[1]
 
 
+def test_sample_functionals_are_read_by_name():
+    data, specs = _scored_data(200, 0.0, 8)
+    clf = fit(*specs)
+    got = _sample_functionals(clf, data, (clf.prior1, clf.prior2))
+    assert got._fields == ("quality", "indicator", "region", "stderr", "accuracy")
+    assert got.quality == empirical_quality(clf, data)
+    assert got.indicator == empirical_quality(clf, data, indicator=True)
+    assert (got.region, got.stderr) == region_energy(clf, data, return_stderr=True)
+
+
 @pytest.mark.parametrize("block", [1, 7, 400])
 @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
 def test_merged_kept_variance_matches_extended_precision(offset, block):
