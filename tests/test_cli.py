@@ -463,6 +463,15 @@ def test_gen_example1_takes_the_largest_sigma2_quietly(capsys, tmp_path):
     assert len(load_csv(out_path)) == 4
 
 
+def test_gen_example1_takes_orthogonal_means_near_1e200_quietly(capsys, tmp_path):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run_cli(capsys, "gen-example1", "--n", "2", "--m1", "1e200,0", "--m2",
+                             "0,1e200", "--per-class", "2", "--seed", "0",
+                             "--out", str(out_path))
+    assert (code, out, err) == (0, "wrote 4 rows\n", "")
+    np.testing.assert_array_equal(np.abs(load_csv(out_path).features).max(axis=1), 1e200)
+
+
 @pytest.mark.parametrize("argv", [
     ["gen-example2", "--n", "2", "--a", "1,0", "--sigma2", "nan"],
     ["gen-example2", "--n", "2", "--a", "1,0", "--sigma2", "inf"],

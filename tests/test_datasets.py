@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,16 @@ def test_gen_example1_sample_moments():
 def test_gen_example1_requires_orthogonal_means():
     with pytest.raises(InvalidParameter):
         gen_example1(2, [1.0, 0.0], [1.0, 1.0], np.eye(2), per_class=5, seed=0)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_gen_example1_orthogonality_test_is_scale_free(scale):
+    # at 1e200 the dot product and the norms of the means overflow, at
+    # 1e-200 they underflow to 0
+    data = gen_example1(2, [scale, 0.0], [0.0, scale], np.eye(2), per_class=2, seed=0)
+    assert np.isfinite(data.features).all()
+    with pytest.raises(InvalidParameter, match="orthogonal"):
+        gen_example1(2, [scale, scale], [scale, 0.0], np.eye(2), per_class=2, seed=0)
 
 
 @pytest.mark.parametrize("m1, m2", [([np.inf, 0.0], [0.0, 1.0]),
@@ -198,6 +211,44 @@ def test_csv_header_layout(tmp_path):
         b"2,1,2,3\n"
         b"1,0.10000000000000001,-3.0000000000000003e-20,1.0000000000000001e+300\n"
     )
+
+
+def _float_mismatches(values) -> list:
+    """(value, written, expected) for each value, one per row, that
+    `_csv_rows` writes otherwise than `_FLOAT_FMT % v`."""
+    values = np.asarray(values, dtype=float).ravel()
+    written = datasets._csv_rows(np.ones(values.size, dtype=int), values[:, None]).splitlines()
+    assert len(written) == values.size
+    return [(v, got, want) for v, got in zip(values.tolist(), written)
+            if got != (want := "1," + datasets._FLOAT_FMT % v)]
+
+
+def test_csv_floats_at_the_edges_match_float_fmt():
+    huge = np.finfo(float).max
+    powers = np.array([float(f"1e{j}") for j in range(-6, 19)] + [1e-4, 1e17])
+    values = np.concatenate([
+        [0.0, 5e-324, 2.2250738585072014e-308, huge, np.nextafter(huge, 0.0)],
+        powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0.0),
+    ])
+    assert _float_mismatches(np.concatenate([values, -values])) == []
+
+
+def test_csv_floats_round_17_digit_ties_to_even():
+    # x = M / 2^(17-k) with M odd and 10^k <= x < 10^(k+1) makes
+    # x * 10^(16-k) = M * 5^(16-k) / 2 an exact tie; M < 2^53 keeps x exact
+    rng = np.random.default_rng(5)
+    ties = []
+    for k in range(-4, 15):
+        low, high = (math.ceil(Fraction(10) ** (k + i) * 2 ** (17 - k)) for i in (0, 1))
+        odd = 2 * rng.integers(low // 2, high // 2, 10_600) + 1
+        ties.append(np.ldexp(odd.astype(float), k - 17))
+    assert _float_mismatches(np.concatenate(ties)) == []
+
+
+def test_csv_floats_of_random_magnitudes_match_float_fmt():
+    rng = np.random.default_rng(11)
+    values = 10.0 ** rng.uniform(-320, 308, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+    assert _float_mismatches(values) == []
 
 
 def test_csv_empty_dataset_round_trip(tmp_path):
@@ -339,9 +390,16 @@ def test_csv_reads_the_same_in_small_blocks(monkeypatch, tmp_path, text, expecte
 
 @pytest.mark.parametrize("write_floats", [1, 7])
 def test_csv_writes_the_same_in_small_blocks(monkeypatch, tmp_path, write_floats):
-    data = gen_example2(3, [0.3, -1.7, 2.5], 1.5, per_class=5, seed=21)
-    save_csv(data, tmp_path / "one.csv")
+    drawn = gen_example2(3, [0.3, -1.7, 2.5], 1.5, per_class=5, seed=21)
+    # rows mixing values written from their digits with ones written by
+    # %.17g (zeros, subnormals, |x| < 1e-4 or >= 1e17), so blocks split across both
+    mixed = LabeledDataset(np.array([1, 2, 2, 1, 2]), np.array([
+        [1.5, 0.0, -1e-300], [-0.0, 123456.789, 5e-324], [1e17, -3.25, 1e200],
+        [99999999999999984.0, 1e-4, -2.5e-5], [0.1, -7.0, np.finfo(float).max]]))
+    for name, data in (("drawn", drawn), ("mixed", mixed)):
+        save_csv(data, tmp_path / f"{name}.csv")
     monkeypatch.setattr(datasets, "_WRITE_FLOATS", write_floats)
-    save_csv(data, tmp_path / "small.csv")
-    assert (tmp_path / "small.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
-    assert load_csv(tmp_path / "small.csv").features.tolist() == data.features.tolist()
+    for name, data in (("drawn", drawn), ("mixed", mixed)):
+        save_csv(data, tmp_path / "small.csv")
+        assert (tmp_path / "small.csv").read_bytes() == (tmp_path / f"{name}.csv").read_bytes()
+        assert load_csv(tmp_path / "small.csv").features.tolist() == data.features.tolist()

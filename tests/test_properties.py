@@ -1,4 +1,4 @@
-"""Hypothesis properties of the model file.
+"""Hypothesis properties of the model file and of the CSV float writer.
 
 Every example is drawn from a fixed seed (`derandomize=True`), so the suite
 stays deterministic. The fits run over n in 1..8, all four modes, random
@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from energydisc import datasets  # noqa: E402
 from energydisc import (  # noqa: E402
     ClassSpec,
     EnergydiscError,
@@ -89,3 +90,10 @@ def test_a_model_that_saves_also_loads(clf, field, data):
     except EnergydiscError:
         return  # refused by the classifier or by the writer
     assert format_model(parse_model(text)) == text
+
+
+@PROPERTY
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_csv_rows_write_every_finite_float_as_float_fmt_does(values):
+    row = datasets._csv_rows(np.array([2]), np.array([values]))
+    assert row == "2," + ",".join(datasets._FLOAT_FMT % v for v in values) + "\n"
