@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datasets import (_FLOAT_FMT, LabeledDataset, _check_signal_in_noise,
-                       _first_nonfinite_row, _parse_floats, _unit_rows, _utf8_text)
+from ._text import _format_floats, _parse_floats, _utf8_text
+from .datasets import LabeledDataset, _check_signal_in_noise, _first_nonfinite_row, _unit_rows
 from .errors import (DegenerateTrace, DimensionMismatch, EmptyClass, InvalidParameter,
                      ParseError)
 from .moments import MomentSummary, _merge
@@ -409,17 +409,12 @@ def snr(a, sigma2: float, n: int | None = None) -> float:
 # `fit` builds it. A file of any other format_version is refused with
 # advice to refit, which writes version 2. The stored spectrum must
 # descend and hold exactly rank(P1) eigenvalues above fit's eps, which the
-# writer checks too. All floats are written with 17 significant digits so
+# writer checks too. All floats are written by `_text._format_floats`, so
 # a save/load round trip is bit-exact and decisions are reproducible.
 
 _HEADER_KEYS = ("format_version", "n", "mode", "p1", "p2", "trK1", "trK2",
                 "m1", "m2", "spectrum")
 _MODEL_KEYS = _HEADER_KEYS + ("rank1", "U1", "U2")
-
-
-def _fmt_floats(values: np.ndarray) -> str:
-    flat = np.asarray(values, dtype=float).ravel().tolist()
-    return ",".join([_FLOAT_FMT] * len(flat)) % tuple(flat)
 
 
 def _check_spectrum(clf: EnergyClassifier) -> None:
@@ -440,15 +435,15 @@ def format_model(clf: EnergyClassifier) -> str:
         "format_version=2",
         f"n={n}",
         f"mode={clf.mode.value}",
-        f"p1={_FLOAT_FMT % clf.prior1}",
-        f"p2={_FLOAT_FMT % clf.prior2}",
-        f"trK1={_FLOAT_FMT % clf.tr_k1}",
-        f"trK2={_FLOAT_FMT % clf.tr_k2}",
-        f"m1={_fmt_floats(clf.mean1)}",
-        f"m2={_fmt_floats(clf.mean2)}",
-        f"spectrum={_fmt_floats(clf.spectrum)}",
+        f"p1={_format_floats(clf.prior1)}",
+        f"p2={_format_floats(clf.prior2)}",
+        f"trK1={_format_floats(clf.tr_k1)}",
+        f"trK2={_format_floats(clf.tr_k2)}",
+        f"m1={_format_floats(clf.mean1)}",
+        f"m2={_format_floats(clf.mean2)}",
+        f"spectrum={_format_floats(clf.spectrum)}",
         f"rank1={k}",
-        f"{key}={_fmt_floats(smaller.basis)}",
+        f"{key}={_format_floats(smaller.basis.ravel())}",
     ]
     return "\n".join(lines) + "\n"
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import classifier as clf_mod
 from . import datasets as ds_mod
-from .datasets import _FLOAT_FMT, _parse_floats, _unit_rows
+from ._text import _format_floats, _parse_floats
+from .datasets import _unit_rows
 from .errors import EmptyClass, EnergydiscError
 from .moments import _MomentSum
 
@@ -206,16 +207,13 @@ def _cmd_eval(args) -> int:
         ("sandwich_upper_slack", upper_slack),
         ("sandwich_ok", "true" if ok else "false"),
     ):
-        if isinstance(value, float):
-            value = _FLOAT_FMT % value
-        print(f"{key}={value}")
+        print(f"{key}={_format_floats(value) if isinstance(value, float) else value}")
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     model = clf_mod.load_model(args.model)
-    for value in model.spectrum:
-        print(_FLOAT_FMT % value)
+    sys.stdout.write(_format_floats(model.spectrum[:, None]))
     return 0
 
 

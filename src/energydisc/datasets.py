@@ -7,73 +7,59 @@ clouds with orthogonal means and a shared covariance, and a fixed
 signal in white noise versus the noise alone.
 
 CSV layout: UTF-8, '\\n' newlines, mandatory header ``label,x1,...,xn``,
-one sample per row, labels in {1,2}, finite floats written with 17
-significant digits so values survive a round trip exactly. Files are
-read once, in blocks of bounded size, so neither the text of a file nor
-its values as Python floats are ever held whole, and a pipe reads as a
-file does. Loading converts each well-formed block in one numpy.loadtxt
+one sample per row, labels in {1,2}, finite floats written by
+`_text._format_floats`, so values survive a round trip exactly. Files
+are read once, in blocks of bounded size, so neither the text of a file
+nor its values as Python floats are ever held whole, and a pipe reads as
+a file does. Loading converts each well-formed block in one numpy.loadtxt
 call; any other block goes through a line-by-line parser that takes
 every spelling int() and float() take and names the first bad line, as
 the block of a non-finite row or of a consumer's zero row names its
 line. Given a consumer, `load_csv` hands it each parsed block and keeps
 nothing, so a caller that only needs sums of the rows, as the CLI does,
 never holds the feature array; without one it keeps every block.
-`save_csv` writes a stream of blocks too, as `gen_example2`'s are drawn,
-and formats about 2^12 floats at a time in numpy: a value with
-1e-4 <= |x| < 1e17 is written from its 17 significant digits, found
-exactly with Dekker's error-free product, and any other value by
-``%.17g`` itself, so the bytes are those ``%.17g`` writes. Model files and
-CLI scalars keep ``%``, which costs less for a few hundred values.
+`save_csv` writes a stream of blocks too, as `gen_example2`'s are drawn.
 """
 
 from __future__ import annotations
 
 import contextlib
 import errno
-import functools
 import itertools
 import os
 import shutil
 import stat
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EnergydiscError,
-    InvalidParameter,
-    LabelError,
-    ParseError,
-    ZeroSignal,
-)
+from ._text import _format_floats, _utf8_text
+from .errors import (DimensionMismatch, EnergydiscError, InvalidParameter, LabelError,
+                     ParseError, ZeroSignal)
 from .moments import _check_psd
 from .spectral import _vectors, sym_matrix
-
-# Every float the package writes (CSV, model files, CLI output) uses
-# 17 significant digits, so values survive a text round trip exactly.
-_FLOAT_FMT = "%.17g"
-
-
-def _parse_floats(text: str) -> np.ndarray:
-    """Comma-separated floats as a 1-d array; ValueError names a bad entry."""
-    return np.array(list(map(float, text.split(","))))
-
 
 # A row whose Euclidean norm is at most this cannot be unit-normalized.
 _ZERO_NORM = 1e-12
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    """Every row of `x` rescaled to unit norm; ZeroSignal names the first
-    row too close to zero to rescale, and carries its index as `row`."""
-    norms = np.linalg.norm(x, axis=1)
+    """Every row of the finite `x` rescaled to unit norm, a row whose norm
+    overflows first scaled by a power of two, exactly; ZeroSignal names the
+    first row too close to zero to rescale, and carries its index as `row`."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
     bad = np.nonzero(norms <= _ZERO_NORM)[0]
     if bad.size:
         row = int(bad[0])
         raise ZeroSignal(f"cannot unit-normalize zero vector at row {row + 1}", row)
-    return x / norms[:, None]
+    unit = x / norms[:, None]
+    huge = ~np.isfinite(norms)
+    if huge.any():
+        rows = np.ldexp(x[huge], -np.frexp(np.abs(x[huge]).max(axis=1, keepdims=True))[1])
+        unit[huge] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    return unit
 
 
 def _first_nonfinite_row(x: np.ndarray) -> int | None:
@@ -130,14 +116,8 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def gen_example1(
-    n: int,
-    m1: Iterable,
-    m2: Iterable,
-    covariance: Iterable,
-    per_class: int,
-    seed: int,
-) -> LabeledDataset:
+def gen_example1(n: int, m1: Iterable, m2: Iterable, covariance: Iterable, per_class: int,
+                 seed: int) -> LabeledDataset:
     """Two Gaussian classes with orthogonal means and a shared covariance."""
     m1 = _vectors(m1)
     m2 = _vectors(m2)
@@ -172,10 +152,8 @@ def _check_signal_in_noise(a: np.ndarray, sigma2: float) -> None:
         raise InvalidParameter("noise variance must be finite and positive")
 
 
-def _example2_blocks(
-    n: int, a: Iterable, sigma2: float, per_class: int, seed: int,
-    block_rows: int | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _example2_blocks(n: int, a: Iterable, sigma2: float, per_class: int, seed: int,
+                     block_rows: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The rows of `gen_example2` as (labels, features) blocks of
     `block_rows` rows (by default about _WRITE_FLOATS floats), at least one
     block. The parameters are checked by the call, before any block.
@@ -208,9 +186,7 @@ def _example2_blocks(
     return blocks()
 
 
-def gen_example2(
-    n: int, a: Iterable, sigma2: float, per_class: int, seed: int
-) -> LabeledDataset:
+def gen_example2(n: int, a: Iterable, sigma2: float, per_class: int, seed: int) -> LabeledDataset:
     """Signal-plus-white-noise class versus pure white noise.
 
     Class 1 draws a + eta, class 2 draws eta, with eta zero-mean Gaussian
@@ -228,144 +204,11 @@ def unit_normalized(data: LabeledDataset) -> LabeledDataset:
 
 # A CSV file is read in blocks of about this many bytes and written in
 # blocks of about this many floats, so memory does not grow with the rows.
-# At 2^12 floats every temporary of _csv_rows stays below 256 KiB, so that
-# under a glibc mmap threshold of that size none is mapped anew per block.
+# At 2^12 floats every temporary of the float writer stays below 256 KiB,
+# so that under a glibc mmap threshold of that size none is mapped anew
+# per block.
 _READ_BYTES = 1 << 20
 _WRITE_FLOATS = 1 << 12
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split a = hi + lo, each half holding at most 26 bits."""
-    c = a * (2.0 ** 27 + 1)
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-# A field of a row is _FIELD bytes: a sign at byte 0, "0." at bytes 1-2,
-# then five digit words at bytes 4-23, "000" and the 17 digits, digit i
-# at byte 7 + i, and the separator at the last byte. Output byte b is
-# c[b] + sa[b] * word[b] + sb[b] * word[b - 1]: the digits where they
-# are, or one byte later to make room for the '.'. Zero bytes are then
-# dropped.
-_FIELD = 28
-# Rows of the field tables: row ((k + 4) * 17 + last) * 2 + neg is a
-# fast-path value of decimal exponent k in [-4, 16] whose 17 digits end
-# at digit `last` once trailing zeros go, negative if `neg`; the three
-# rows after those are the labels 1 and 2 and a value written by %.17g.
-_LABEL_ROW = 21 * 17 * 2 - 1  # + the label
-_FALLBACK_ROW = 21 * 17 * 2 + 2
-
-
-class _WriterTables(NamedTuple):
-    pow10: np.ndarray  # 10^0 .. 10^20, exact doubles,
-    pow10_hi: np.ndarray  # and their Veltkamp halves
-    pow10_lo: np.ndarray
-    digits4: np.ndarray  # the four digits of each group 0000..9999, one uint32 word
-    zeros4: np.ndarray  # each group's count of trailing zeros, 4 for 0000
-    sa: np.ndarray  # the field tables, each row a void scalar that
-    sb: np.ndarray  # np.take copies as one item
-    c: np.ndarray
-
-
-@functools.cache
-def _writer_tables() -> _WriterTables:
-    """The tables of _csv_rows, built at the first write, so that a
-    process that writes no CSV spends neither their time nor their memory."""
-    pow10 = np.array([float(10 ** j) for j in range(21)])
-    groups = np.arange(10_000)
-    digits4 = np.stack([groups // 10 ** i % 10 for i in (3, 2, 1, 0)], axis=1) + ord("0")
-    zeros4 = np.select([groups == 0, groups % 1000 == 0, groups % 100 == 0, groups % 10 == 0],
-                       [4, 3, 2, 1], 0)
-    b = np.arange(_FIELD)
-    k = np.arange(-4, 17)[:, None, None, None]
-    last = np.arange(17)[None, :, None, None]
-    neg = np.arange(2)[None, None, :, None]
-    big = k >= 0
-    # |x| >= 1: digits 0..k, '.', then digits k+1..last a byte later;
-    # |x| < 1: "0.", then -k-1 zeros and digits 0..last
-    sa = np.where(big, (7 <= b) & (b <= 7 + k), (8 + k <= b) & (b <= 7 + last))
-    sb = big & (9 + k <= b) & (b <= 8 + last)
-    dot = (~big & (b == 2)) | (big & (b == 8 + k) & (last > k))
-    sep = (b == _FIELD - 1) * ord(",")
-    c = (b == 0) * neg * ord("-") + (~big & (b == 1)) * ord("0") + dot * ord(".") + sep
-
-    def table(fast, label1, label2, other):
-        rows = np.broadcast_to(fast, (21, 17, 2, _FIELD)).reshape(-1, _FIELD)
-        rows = np.concatenate([rows, [label1, label2, other]])
-        return np.ascontiguousarray(rows, dtype=np.uint8).view(f"V{_FIELD}").ravel()
-
-    none = 0 * b
-    return _WriterTables(
-        pow10, *_split(pow10), digits4.astype(np.uint8).view(np.uint32).ravel(), zeros4,
-        table(sa, none, none, none), table(sb, none, none, none),
-        table(c, (b == 0) * ord("1") + sep, (b == 0) * ord("2") + sep, sep))
-
-
-def _csv_rows(labels: np.ndarray, features: np.ndarray) -> str:
-    """The CSV rows of `labels` (each 1 or 2) and finite `features`, every
-    float as `_FLOAT_FMT % v` writes it, as one string.
-
-    A value with 1e-4 <= |x| < 1e17 is written from its 17 significant
-    digits D, found in numpy: with k = floor(log10|x|), Dekker's error-free
-    product gives |x| * 10^(16-k) = p + e exactly (10^(16-k) <= 1e20 is
-    an exact double), and D is p rounded half to even by e. When the
-    exact product lies in [10^16, 10^17) and D < 10^17, %.17g writes D in
-    fixed notation with the point after digit k and trailing zeros
-    dropped, as here. Any other value, such as ±0, a subnormal, one outside
-    that range, or one whose estimate of k was off, is written by
-    `_FLOAT_FMT` itself.
-    """
-    rows, n = features.shape
-    t = _writer_tables()
-    ax = np.abs(features)
-    fast = (ax >= 1e-4) & (ax < 1e17)
-    ax[~fast] = 1.0
-    # log10 may be off by one near a power of ten; the range check below
-    # then sends the value to the fallback
-    k = np.clip(np.floor(np.log10(ax)).astype(np.intp), -4, 16)
-    j = 16 - k
-    scale, scale_hi, scale_lo = t.pow10[j], t.pow10_hi[j], t.pow10_lo[j]
-    ax_hi, ax_lo = _split(ax)
-    p = ax * scale
-    e = ((ax_hi * scale_hi - p) + ax_hi * scale_lo + ax_lo * scale_hi) + ax_lo * scale_lo
-    # p >= 10^16 > 2^53 is an even integer, so rounding e alone to even rounds p + e
-    d = p.astype(np.int64) + np.rint(e).astype(np.int64)
-    fast &= ((p > 1e16) | ((p == 1e16) & (e >= 0))) & (d < 10 ** 17)
-    top = d // 10 ** 8
-    low = d - top * 10 ** 8
-    head = top // 10 ** 4
-    lead = head // 10 ** 4
-    g3 = low // 10 ** 4
-    groups = (head - lead * 10 ** 4, top - head * 10 ** 4, g3, low - g3 * 10 ** 4)
-    words = np.empty((rows, n + 1, _FIELD // 4), np.uint32)
-    words[:, 1:, 1] = t.digits4[lead]  # "000" and the leading digit
-    last = np.zeros(d.shape, np.intp)  # the leading digit is never 0
-    for i, group in enumerate(groups, start=1):
-        words[:, 1:, i + 1] = t.digits4[group]
-        last = np.where(group != 0, 4 * i - t.zeros4[group], last)
-    codes = np.empty((rows, n + 1), np.intp)
-    codes[:, 0] = _LABEL_ROW + labels
-    codes[:, 1:] = np.where(fast, ((k + 4) * 17 + last) * 2 + (features < 0), _FALLBACK_ROW)
-    word = words.view(np.uint8).ravel()
-    sa = np.take(t.sa, codes).view(np.uint8).ravel()
-    sb = np.take(t.sb, codes).view(np.uint8).ravel()
-    out = np.take(t.c, codes).view(np.uint8).reshape(rows, n + 1, _FIELD)
-    out[:, -1, -1] = ord("\n")
-    text = out.ravel()
-    sa *= word
-    text += sa
-    sb[1:] *= word[:-1]
-    text += sb
-    other = np.nonzero(~fast)
-    if other[0].size:
-        # one % call for all of them, NUL-padded to 24 bytes, the length of
-        # "-2.2250738585072014e-308", the longest text %.17g gives; the
-        # padding is dropped below
-        values = features[other].tolist()
-        values = ("\0".join([_FLOAT_FMT] * len(values)) % tuple(values)).split("\0")
-        values = np.array(values, dtype="S24").view(np.uint8).reshape(-1, 24)
-        out[other[0], other[1] + 1, :24] = values
-    return text[text != 0].tobytes().decode("ascii")
 
 
 def save_csv(data, path) -> None:
@@ -386,17 +229,18 @@ def save_csv(data, path) -> None:
     n = first.dim
     if n < 1:
         raise DimensionMismatch("CSV rows need at least one feature")
-    header = "label," + ",".join(f"x{i + 1}" for i in range(n))
     step = max(1, _WRITE_FLOATS // n)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         try:
-            fh.write(header + "\n")
+            fh.write("label," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
             for block in itertools.chain([first], blocks):
                 if block.dim != n:
                     raise DimensionMismatch(f"block of width {block.dim} after width {n}")
                 for start in range(0, len(block), step):
                     part = slice(start, start + step)
-                    fh.write(_csv_rows(block.labels[part], block.features[part]))
+                    # the labels go as a first float column: 1.0 and 2.0 are written 1 and 2
+                    fh.write(_format_floats(np.column_stack(
+                        (block.labels[part], block.features[part]))))
         except BaseException:
             # load_csv refuses an empty file; a pipe or device keeps what it took
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
@@ -427,18 +271,6 @@ def _check_room(path, rows: int, n: int) -> None:
     if need > free:
         raise OSError(errno.ENOSPC, f"{rows} rows need at least {need} bytes, "
                       f"{free} are free", str(path))
-
-
-def _utf8_text(data: bytes, first: int) -> str:
-    """`data` decoded as UTF-8, its first line being file line `first`;
-    a byte that is not UTF-8 is a ParseError naming its line."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # '?' stands for the bad byte, so the last line counted is its line
-        before = data[:exc.start].decode("utf-8") + "?"
-        line = first + len(before.splitlines()) - 1
-        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line) from exc
 
 
 def _line_blocks(path) -> Iterator[tuple[int, list[str]]]:
@@ -498,12 +330,6 @@ def _parse_table(rows: list[str], n: int) -> tuple[np.ndarray, np.ndarray] | Non
     return table[:, 0].astype(int), np.ascontiguousarray(table[:, 1:])
 
 
-def _parse_block(lines: list[str], n: int, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and features of data lines, the first being file line `first`."""
-    parsed = _parse_table([line for line in lines if line], n)
-    return parsed if parsed is not None else _parse_rows(lines, n, first)
-
-
 def _row_line(first: int, lines: list[str], row: int) -> int:
     """File line number of data row `row` (0-based) of a block whose lines
     start at file line `first`, the data rows being its non-empty lines."""
@@ -544,7 +370,8 @@ def load_csv(path, feed: Callable[[np.ndarray, np.ndarray], None] | None = None)
             raise ParseError(f"bad header {lines[0]!r}", 1)
         # each block is parsed and fed before the next is read
         for first, lines in itertools.chain([(2, lines[1:])], line_blocks):
-            labels, features = _parse_block(lines, n, first)
+            parsed = _parse_table([line for line in lines if line], n)
+            labels, features = parsed if parsed is not None else _parse_rows(lines, n, first)
             if nonfinite is None:
                 bad = _first_nonfinite_row(features)
                 if bad is not None:

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDataset, NotPSD
+from .errors import DimensionMismatch, EmptyDataset, InvalidParameter, NotPSD
 from .spectral import EigenDecomposition, _vectors, sym_eig, sym_matrix
 
 # PSD slack for estimated/validated operators, relative to the trace.
@@ -71,9 +71,18 @@ class MomentSummary:
         return self.mean.shape[0]
 
 
+def _no_overflow(*moments: np.ndarray) -> None:
+    """InvalidParameter if the moment arithmetic, run with overflow ignored, overflowed."""
+    if not all(np.isfinite(m).all() for m in moments):
+        raise InvalidParameter("class moments overflow the float range; rescale the rows")
+
+
 def _split(mean: np.ndarray, covariance: np.ndarray, count: int) -> MomentSummary:
     """The moments with correlation K = R + m m^T, the rank-one split."""
-    return MomentSummary(mean, sym_matrix(covariance + np.outer(mean, mean)), covariance, count)
+    with np.errstate(over="ignore"):
+        correlation = covariance + np.outer(mean, mean)
+    _no_overflow(correlation)
+    return MomentSummary(mean, sym_matrix(correlation), covariance, count)
 
 
 class _MomentSum:
@@ -91,10 +100,13 @@ class _MomentSum:
         k = x.shape[0]
         if k == 0:
             return
-        mean = x.mean(axis=0)
-        centered = x - mean
-        self.count, self.mean, self.scatter = _merge(
-            self.count, self.mean, self.scatter, k, mean, centered.T @ centered)
+        # an overflow may meet an opposite one as inf - inf, hence invalid too
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = x.mean(axis=0)
+            centered = x - mean
+            self.count, self.mean, self.scatter = _merge(
+                self.count, self.mean, self.scatter, k, mean, centered.T @ centered)
+        _no_overflow(self.mean, self.scatter)
 
     def summary(self) -> MomentSummary:
         """The 1/N moments of the rows added; at least one row is needed."""
@@ -132,6 +144,8 @@ def analytic_moments(mean: Iterable, covariance: Iterable) -> MomentSummary:
         raise DimensionMismatch("mean and covariance dimensions differ")
     if m.shape[0] < 1:
         raise DimensionMismatch("dimension must be at least 1")
+    if not np.all(np.isfinite(m)):
+        raise InvalidParameter("class mean must be finite")
     _check_psd(r)
     return _split(m, r, 0)
 

@@ -270,6 +270,17 @@ def test_unit_mode_is_scale_invariant():
     np.testing.assert_array_equal(decide_batch(clf, x), decide_batch(clf, 7.5 * x))
 
 
+@pytest.mark.parametrize("k", [1, 500, 511, 512, 700, 900])
+def test_unit_mode_decides_rows_whose_norm_overflows(k):
+    # from k of about 510 on ||2^k x||^2 overflows; scaling by a power of
+    # two is exact, so the unit rows, and with them the labels, stay the same
+    clf = fit(*noise_pair(3, [1.0, 2.0, 2.0], 0.5), NormalizationMode.UNIT)
+    x = np.random.default_rng(21).standard_normal((40, 3))
+    labels = decide_batch(clf, x)
+    assert set(labels) == {1, 2}
+    np.testing.assert_array_equal(decide_batch(clf, 2.0 ** k * x), labels)
+
+
 def test_unit_mode_rejects_zero_vector():
     clf = fit(*noise_pair(2, [2.0, 0.0], 1.0), NormalizationMode.UNIT)
     with pytest.raises(ZeroSignal):

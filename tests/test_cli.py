@@ -472,6 +472,23 @@ def test_gen_example1_takes_orthogonal_means_near_1e200_quietly(capsys, tmp_path
     np.testing.assert_array_equal(np.abs(load_csv(out_path).features).max(axis=1), 1e200)
 
 
+@pytest.mark.parametrize("mode", ["raw", "trace", "unit", "centered"])
+def test_fit_on_rows_near_1e200(capsys, tmp_path, mode):
+    # unit mode scales each row to the sphere first; in the other modes the
+    # class moments overflow, which is a data error
+    data, model = tmp_path / "big.csv", tmp_path / "model.txt"
+    run_cli(capsys, "gen-example1", "--n", "2", "--m1", "1e200,0", "--m2", "0,1e200",
+            "--per-class", "3", "--seed", "0", "--out", str(data))
+    code, out, err = run_cli(capsys, "fit", "--data", str(data), "--mode", mode,
+                             "--out", str(model))
+    if mode == "unit":
+        assert (code, out, err) == (0, f"wrote {model}\n", "")
+        assert "trK1=1\ntrK2=1\n" in model.read_text()
+    else:
+        assert (code, out, err) == (
+            2, "", "error: class moments overflow the float range; rescale the rows\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["gen-example2", "--n", "2", "--a", "1,0", "--sigma2", "nan"],
     ["gen-example2", "--n", "2", "--a", "1,0", "--sigma2", "inf"],

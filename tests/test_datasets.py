@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from energydisc import datasets
+from energydisc import _text, datasets
 from energydisc import (
     DimensionMismatch,
     InvalidParameter,
@@ -162,6 +162,16 @@ def test_unit_normalized():
     np.testing.assert_array_equal(unit.labels, data.labels)
 
 
+def test_unit_normalized_rows_whose_norm_overflows():
+    # only the rows whose norm overflows are rescaled, by a power of two,
+    # so every row gets the bits of its unscaled twin
+    x = np.random.default_rng(22).standard_normal((6, 4))
+    scaled = x * np.ldexp(1.0, [0, 600, 3, 900, 511, 1000])[:, None]
+    labels = np.ones(6, dtype=int)
+    np.testing.assert_array_equal(unit_normalized(LabeledDataset(labels, scaled)).features,
+                                  unit_normalized(LabeledDataset(labels, x)).features)
+
+
 def test_unit_normalized_rejects_zero_row():
     data = LabeledDataset(np.array([1, 2]), np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ZeroSignal, match="row 2"):
@@ -213,14 +223,22 @@ def test_csv_header_layout(tmp_path):
     )
 
 
-def _float_mismatches(values) -> list:
-    """(value, written, expected) for each value, one per row, that
-    `_csv_rows` writes otherwise than `_FLOAT_FMT % v`."""
-    values = np.asarray(values, dtype=float).ravel()
-    written = datasets._csv_rows(np.ones(values.size, dtype=int), values[:, None]).splitlines()
-    assert len(written) == values.size
-    return [(v, got, want) for v, got in zip(values.tolist(), written)
-            if got != (want := "1," + datasets._FLOAT_FMT % v)]
+def _float_mismatches(values, *, one_by_one: bool = False) -> list:
+    """(value, written, expected) for each value that `_text._format_floats`,
+    its kernel taking every input, writes otherwise than `_FLOAT_FMT % v`:
+    the values as one column, as one 1-d vector and, if `one_by_one`,
+    each on its own."""
+    values = np.asarray(values, dtype=float).ravel().tolist()
+    want = [_text._FLOAT_FMT % v for v in values]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_text, "_KERNEL_VALUES", 1)
+        shapes = [_text._format_floats(np.array(values)[:, None]).splitlines(),
+                  _text._format_floats(values).split(",")]
+        if one_by_one:
+            shapes.append([_text._format_floats(v) for v in values])
+    assert all(len(written) == len(values) for written in shapes)
+    return [(v, got, expected) for written in shapes
+            for v, got, expected in zip(values, written, want) if got != expected]
 
 
 def test_csv_floats_at_the_edges_match_float_fmt():
@@ -230,7 +248,7 @@ def test_csv_floats_at_the_edges_match_float_fmt():
         [0.0, 5e-324, 2.2250738585072014e-308, huge, np.nextafter(huge, 0.0)],
         powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0.0),
     ])
-    assert _float_mismatches(np.concatenate([values, -values])) == []
+    assert _float_mismatches(np.concatenate([values, -values]), one_by_one=True) == []
 
 
 def test_csv_floats_round_17_digit_ties_to_even():
@@ -249,6 +267,27 @@ def test_csv_floats_of_random_magnitudes_match_float_fmt():
     rng = np.random.default_rng(11)
     values = 10.0 ** rng.uniform(-320, 308, 100_000) * rng.choice([-1.0, 1.0], 100_000)
     assert _float_mismatches(values) == []
+
+
+def test_format_floats_runs_the_kernel_from_the_crossover_on(monkeypatch):
+    sizes = []
+    kernel = _text._kernel_text
+
+    def counted(rows):
+        sizes.append(rows.size)
+        return kernel(rows)
+
+    monkeypatch.setattr(_text, "_kernel_text", counted)
+    at = _text._KERNEL_VALUES
+    for count in (at - 1, at):
+        values = np.arange(count) / 7
+        want = [_text._FLOAT_FMT % v for v in values.tolist()]
+        assert _text._format_floats(values) == ",".join(want)
+        if count % 2 == 0:  # as rows of two
+            lines = [",".join(pair) + "\n" for pair in zip(want[::2], want[1::2])]
+            assert _text._format_floats(values.reshape(-1, 2)) == "".join(lines)
+    assert sizes == [at, at]
+    assert _text._format_floats([]) == _text._format_floats(np.zeros((0, 3))) == ""
 
 
 def test_csv_empty_dataset_round_trip(tmp_path):

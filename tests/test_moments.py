@@ -4,12 +4,13 @@ import pytest
 from energydisc import (
     DimensionMismatch,
     EmptyDataset,
+    InvalidParameter,
     NotPSD,
     analytic_moments,
     estimate_moments,
     expected_quadratic,
 )
-from energydisc.moments import _check_psd, _merge
+from energydisc.moments import _check_psd, _merge, _MomentSum
 from energydisc.spectral import sym_eig
 from helpers import max_abs, random_psd, random_symmetric
 
@@ -177,3 +178,31 @@ def test_check_psd_returns_its_eigendecomposition():
     np.testing.assert_array_equal(vectors, want.eigenvectors)
     with pytest.raises(NotPSD, match=r"^covariance has eigenvalue -1\.0$"):
         _check_psd(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("rows", [
+    [[1e200, 0.0], [1e200, 1.0]],  # the rank-one split m m^T
+    [[1e300, 0.0], [-1e300, 1.0]],  # the scatter
+    [[1.7e308, 0.0], [1.7e308, 1.0]],  # the mean's sum
+])
+def test_estimate_moments_names_an_overflow(rows):
+    with pytest.raises(InvalidParameter, match="^class moments overflow"):
+        estimate_moments(rows)
+
+
+def test_moment_sum_names_an_overflow_in_the_merge():
+    total = _MomentSum()
+    total.add(np.array([[1e300, 0.0]]))
+    with pytest.raises(InvalidParameter, match="^class moments overflow"):
+        total.add(np.array([[-1e300, 0.0]]))
+
+
+def test_analytic_moments_name_an_overflow_in_the_split():
+    with pytest.raises(InvalidParameter, match="^class moments overflow"):
+        analytic_moments([1e200, 0.0], np.eye(2))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_analytic_moments_refuse_a_mean_that_is_not_finite(value):
+    with pytest.raises(InvalidParameter, match="^class mean must be finite$"):
+        analytic_moments([value, 0.0], np.eye(2))

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from energydisc import datasets  # noqa: E402
+from energydisc import _text  # noqa: E402
 from energydisc import (  # noqa: E402
     ClassSpec,
     EnergydiscError,
@@ -95,5 +95,10 @@ def test_a_model_that_saves_also_loads(clf, field, data):
 @PROPERTY
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
 def test_csv_rows_write_every_finite_float_as_float_fmt_does(values):
-    row = datasets._csv_rows(np.array([2]), np.array([values]))
-    assert row == "2," + ",".join(datasets._FLOAT_FMT % v for v in values) + "\n"
+    texts = [_text._FLOAT_FMT % v for v in values]
+    # the kernel takes every input, as it takes CSV blocks, whatever the count
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_text, "_KERNEL_VALUES", 1)
+        assert _text._format_floats([[2.0, *values]]) == ",".join(["2", *texts]) + "\n"
+        assert _text._format_floats(values) == ",".join(texts)
+        assert [_text._format_floats(v) for v in values] == texts
