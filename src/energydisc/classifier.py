@@ -32,10 +32,11 @@ from typing import NamedTuple
 import numpy as np
 
 from ._text import _format_floats, _parse_floats, _utf8_text
-from .datasets import LabeledDataset, _check_signal_in_noise, _first_nonfinite_row, _unit_rows
+from .datasets import (LabeledDataset, _check_signal_in_noise, _class_rows, _first_nonfinite_row,
+                       _unit_rows)
 from .errors import (DegenerateTrace, DimensionMismatch, EmptyClass, InvalidParameter,
                      ParseError)
-from .moments import MomentSummary, _merge
+from .moments import MomentSummary, _merge, _no_overflow
 from .spectral import Projector, _vectors, complement, sym_eig
 
 
@@ -124,13 +125,15 @@ class EnergyReport:
     total: float
 
 
-def _mode_matrix(moments: MomentSummary, mode: NormalizationMode) -> np.ndarray:
-    """Operator carrying the class energy under the given mode."""
+def _mode_matrix(moments: MomentSummary, mode: NormalizationMode,
+                 tr: float | None = None) -> np.ndarray:
+    """Operator carrying the class energy under the given mode; trace mode
+    divides by `tr`, tr K, taken from the moments unless given."""
     if mode is NormalizationMode.CENTERED:
         return moments.covariance
     k = moments.correlation
     if mode is NormalizationMode.TRACE:
-        tr = float(np.trace(k))
+        tr = float(np.trace(k)) if tr is None else tr
         if tr <= 0.0:
             raise DegenerateTrace(f"correlation trace {tr} is not positive")
         return k / tr
@@ -169,14 +172,20 @@ def fit(
     P_1 spans the eigenvectors of p_1 M_1 - p_2 M_2 with eigenvalue above
     eps = 1e-10 * max(1, |lambda|_max); the rest, including the zero
     eigenspace, goes to P_2. For unit mode the supplied moments must have
-    been estimated from unit-normalized samples (not enforced here).
+    been estimated from unit-normalized samples (not enforced here). A
+    correlation trace beyond the float range is an InvalidParameter.
     """
     mode = _as_mode(mode)
     n = class1.moments.dim
     if class2.moments.dim != n:
         raise DimensionMismatch("class moment dimensions differ")
-    m1 = _mode_matrix(class1.moments, mode)
-    m2 = _mode_matrix(class2.moments, mode)
+    # both traces once, before any operator: finite moments may still have
+    # a trace beyond the float range
+    with np.errstate(over="ignore"):
+        tr1, tr2 = (float(np.trace(c.moments.correlation)) for c in (class1, class2))
+    _no_overflow(np.array([tr1, tr2]))
+    m1 = _mode_matrix(class1.moments, mode, tr1)
+    m2 = _mode_matrix(class2.moments, mode, tr2)
     values, vectors = sym_eig(class1.prior * m1 - class2.prior * m2)
     k = _positive_rank(values)  # values descend: U_1 is the first k columns
     smaller = vectors[:, :k] if _stores_u1(n, k) else vectors[:, k:]
@@ -188,8 +197,8 @@ def fit(
         proj2=proj2,
         prior1=class1.prior,
         prior2=class2.prior,
-        tr_k1=float(np.trace(class1.moments.correlation)),
-        tr_k2=float(np.trace(class2.moments.correlation)),
+        tr_k1=tr1,
+        tr_k2=tr2,
         mean1=class1.moments.mean.copy(),
         mean2=class2.moments.mean.copy(),
         spectrum=values.copy(),
@@ -305,8 +314,7 @@ class _SampleSums:
         g1, g2 = discriminants(self.clf, features)
         hits = _labels(g1, g2) == labels
         for i, g in enumerate((g1, g2)):
-            mine = labels == i + 1
-            g, won = g[mine], hits[mine]
+            g, won = _class_rows(labels, g, i + 1), _class_rows(labels, hits, i + 1)
             k = won.size
             if k == 0:
                 continue

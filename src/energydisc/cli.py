@@ -25,7 +25,7 @@ import numpy as np
 from . import classifier as clf_mod
 from . import datasets as ds_mod
 from ._text import _format_floats, _parse_floats
-from .datasets import _unit_rows
+from .datasets import _class_rows, _unit_rows
 from .errors import EmptyClass, EnergydiscError
 from .moments import _MomentSum
 
@@ -136,7 +136,7 @@ def _add_class_rows(sums, labels, features, mode) -> None:
     if mode is clf_mod.NormalizationMode.UNIT:
         features = _unit_rows(features)
     for label, total in zip((1, 2), sums):
-        total.add(features[labels == label])
+        total.add(_class_rows(labels, features, label))
 
 
 def _class_summaries(sums):

@@ -108,7 +108,25 @@ class LabeledDataset:
         return self.features.shape[0]
 
     def class_features(self, label: int) -> np.ndarray:
-        return self.features[self.labels == label]
+        """The feature rows labeled `label`, read-only: a view of `features`
+        when those rows are consecutive, as every generated dataset and
+        written CSV file has them, else a copy."""
+        return _class_rows(self.labels, self.features, label)
+
+
+def _class_rows(labels: np.ndarray, x: np.ndarray, label: int) -> np.ndarray:
+    """The rows of `x` (2-d rows or a 1-d array, one entry a row) labeled
+    `label`, read-only, equal to `x[labels == label]` in values, dtype,
+    shape and C-contiguity. Rows that form one consecutive run of a
+    C-contiguous `x` come as a basic slice of it, which copies nothing;
+    any other rows as the mask's copy."""
+    mine = labels == label
+    count = int(np.count_nonzero(mine))
+    first = int(np.argmax(mine)) if count else 0
+    run = slice(first, first + count)
+    rows = x[run] if count and x.flags.c_contiguous and mine[run].all() else x[mine]
+    rows.flags.writeable = False
+    return rows
 
 
 def make_rng(seed: int) -> np.random.Generator:

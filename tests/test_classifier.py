@@ -98,6 +98,16 @@ def test_trace_fit_rejects_a_class_of_zero_trace():
         fit(zero, gaussian_pair()[1], NormalizationMode.TRACE)
 
 
+@pytest.mark.parametrize("mode", ["raw", "trace", "unit", "centered"])
+def test_fit_refuses_a_correlation_trace_beyond_the_float_range(mode):
+    # each diagonal entry is finite, their sum is not
+    big = ClassSpec(0.5, analytic_moments([0.0, 0.0], np.diag([1e308, 1e308])))
+    with pytest.raises(InvalidParameter, match="overflow the float range"):
+        fit(big, gaussian_pair()[1], mode)
+    with pytest.raises(InvalidParameter, match="overflow the float range"):
+        fit(gaussian_pair()[0], big, mode)
+
+
 def test_fit_rejects_dimension_mismatch():
     c1 = ClassSpec(0.5, analytic_moments([0.0, 0.0], np.eye(2)))
     c2 = ClassSpec(0.5, analytic_moments([0.0, 0.0, 0.0], np.eye(3)))

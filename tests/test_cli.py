@@ -424,22 +424,33 @@ def test_bad_generator_sizes_exit_without_traceback(capsys, tmp_path, argv, code
 
 
 @pytest.mark.parametrize("target", ["new", "existing", "devnull"])
+@pytest.mark.parametrize("spare", [-1, 0])
 def test_gen_example2_checks_room_only_for_a_regular_file(capsys, tmp_path, monkeypatch,
-                                                          target):
+                                                          target, spare):
+    # 4 rows of width 2 need at least 24 bytes; the file to be replaced
+    # counts as free space, so `spare` bytes beyond the need are left
     out_path = {"new": tmp_path / "x.csv", "existing": tmp_path / "x.csv",
                 "devnull": Path(os.devnull)}[target]
+    old = b"label,x1,x2\n1,5,6\n"
     if target == "existing":
-        out_path.write_bytes(b"\0" * 24)  # 4 rows of width 2 need at least 24 bytes
-    monkeypatch.setattr(datasets.shutil, "disk_usage", lambda path: SimpleNamespace(free=0))
+        out_path.write_bytes(old)
+    free = 24 - (len(old) if target == "existing" else 0) + spare
+    monkeypatch.setattr(datasets.shutil, "disk_usage",
+                        lambda path: SimpleNamespace(free=free))
     code, out, err = run_cli(capsys, "gen-example2", "--n", "2", "--a", "1,0", "--sigma2",
                              "1", "--per-class", "2", "--seed", "0", "--out", str(out_path))
-    if target == "new":
+    if spare < 0 and target != "devnull":
         assert (code, out) == (2, "")
-        assert err == f"error: [Errno 28] 4 rows need at least 24 bytes, 0 are free: " \
+        assert err == f"error: [Errno 28] 4 rows need at least 24 bytes, 23 are free: " \
                       f"'{out_path}'\n"
-        assert not out_path.exists()
+        # the target is left as it was, and no file is made
+        assert sorted(tmp_path.iterdir()) == ([out_path] if target == "existing" else [])
+        if target == "existing":
+            assert out_path.read_bytes() == old
     else:
         assert (code, out, err) == (0, "wrote 4 rows\n", "")
+        if target != "devnull":
+            assert len(load_csv(out_path)) == 4
 
 
 @pytest.mark.parametrize("sigma2", ["inf", "nan"])
@@ -487,6 +498,22 @@ def test_fit_on_rows_near_1e200(capsys, tmp_path, mode):
     else:
         assert (code, out, err) == (
             2, "", "error: class moments overflow the float range; rescale the rows\n")
+
+
+@pytest.mark.parametrize("mode", ["raw", "trace", "unit", "centered"])
+def test_fit_refuses_a_correlation_trace_beyond_the_float_range(capsys, tmp_path, mode):
+    # class 1's moments are finite, but its correlation trace, about
+    # 2.3e308, is not; unit mode scales each row to the sphere first
+    data, model = tmp_path / "big.csv", tmp_path / "model.txt"
+    data.write_text("label,x1,x2\n1,1e154,1.1e154\n1,1.2e154,1e154\n2,1,2\n2,2,1\n")
+    code, out, err = run_cli(capsys, "fit", "--data", str(data), "--mode", mode,
+                             "--out", str(model))
+    if mode == "unit":
+        assert (code, out, err) == (0, f"wrote {model}\n", "")
+    else:
+        assert (code, out, err) == (
+            2, "", "error: class moments overflow the float range; rescale the rows\n")
+        assert not model.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +64,65 @@ def test_labeled_dataset_rejects_nonfinite_features(value):
     features[1, 0] = value
     with pytest.raises(InvalidParameter, match="row 2"):
         LabeledDataset(np.array([1, 2, 1]), features)
+
+
+# (labels, label, whether the rows labeled `label` form one consecutive run)
+_CLASS_LAYOUTS = [
+    ([1, 1, 1, 2, 2], 1, True),
+    ([1, 1, 1, 2, 2], 2, True),
+    ([2, 1, 1, 1, 2], 1, True),
+    ([1, 2, 1, 2, 1], 1, False),
+    ([1, 2, 2, 1, 2], 2, False),
+    ([2, 2, 2, 2, 2], 1, False),  # an empty class shares no bytes
+    ([2, 2, 1, 2, 2], 1, True),  # one row
+    ([1], 1, True),
+    ([], 1, False),
+]
+
+
+@pytest.mark.parametrize("labels, label, consecutive", _CLASS_LAYOUTS)
+def test_class_rows_are_the_read_only_mask_result(labels, label, consecutive):
+    labels = np.array(labels)
+    data = LabeledDataset(labels, np.arange(3.0 * labels.size).reshape(-1, 3))
+    # feature rows, and the per-row arrays of a scoring pass
+    per_row = (np.linspace(0.5, 2.5, labels.size), np.arange(labels.size) % 2 == 0)
+    cases = [(data.features, data.class_features(label))]
+    cases += [(x, datasets._class_rows(labels, x, label)) for x in per_row]
+    for x, rows in cases:
+        expected = x[labels == label]
+        np.testing.assert_array_equal(rows, expected)
+        assert (rows.dtype, rows.shape) == (expected.dtype, expected.shape)
+        assert rows.flags.c_contiguous == expected.flags.c_contiguous
+        assert not rows.flags.writeable and x.flags.writeable
+        assert np.shares_memory(rows, x) == consecutive
+
+
+def test_class_features_of_rows_not_in_c_order_is_the_mask_copy():
+    # a slice of Fortran-ordered rows is not C-contiguous, the mask's copy is
+    features = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+    data = LabeledDataset(np.array([1, 1, 2, 2]), features)
+    rows = data.class_features(1)
+    np.testing.assert_array_equal(rows, features[:2])
+    assert rows.flags.c_contiguous and not rows.flags.writeable
+    assert not np.shares_memory(rows, features)
+
+
+def test_class_features_of_a_consecutive_class_copies_nothing():
+    # numpy reports its data buffers to tracemalloc
+    rows, n = 200_000, 8
+    data = LabeledDataset(np.repeat([1, 2], rows // 2), np.ones((rows, n)))
+    class_bytes = rows // 2 * n * 8
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        ones = data.class_features(1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ones.shape == (rows // 2, n)
+    assert held - before < 0.01 * class_bytes
+    # the only transient is the label mask, one byte a row
+    assert peak - before < rows + 0.01 * class_bytes
 
 
 def test_make_rng_reproducible():
