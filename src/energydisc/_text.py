@@ -5,15 +5,16 @@ The one rule: `_format_floats` writes each float as ``%.17g`` does, 17
 significant digits, so values survive a text round trip bit for bit and
 a saved model or data file keeps the paper's identities exactly. Below
 the crossover `_KERNEL_VALUES` it joins ``%.17g`` with ``%``; from there
-on a numpy kernel writes the same bytes faster. The kernel writes a value
-with 1e-4 <= |x| < 1e17 from its 17 significant digits D: with k =
-floor(log10|x|), Dekker's error-free product gives |x| * 10^(16-k) =
-p + e exactly (10^(16-k) <= 1e20 is an exact double), and D is p rounded
-half to even by e. When p + e lies in [10^16, 10^17) and D < 10^17,
-%.17g writes D in fixed notation with the point after digit k and
-trailing zeros dropped, as the kernel does. Any other value (±0, a
-subnormal, one outside that range, or one whose estimate of k was off)
-it writes by ``%`` too.
+on a numpy kernel writes the same bytes faster, but for a block more than
+half of which lies outside [1e-4, 1e17), which goes to ``%`` whole. The
+kernel writes a value with 1e-4 <= |x| < 1e17 from its 17 significant
+digits D: with k = floor(log10|x|), Dekker's error-free product gives
+|x| * 10^(16-k) = p + e exactly (10^(16-k) <= 1e20 is an exact double),
+and D is p rounded half to even by e. When p + e lies in [10^16, 10^17)
+and D < 10^17, %.17g writes D in fixed notation with the point after
+digit k and trailing zeros dropped, as the kernel does. Any other value
+(±0, a subnormal, one outside that range, or one whose estimate of k was
+off) it writes by ``%`` too.
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ _FLOAT_FMT = "%.17g"
 # The crossover, measured on a 2-core x86-64 VM: `%` writes 1 value in
 # 1.3 us and 1024 in 0.7 ms, the kernel 85-130 us and 0.2-0.3 ms. CSV
 # blocks and large model bases fall above it, short vectors and scalars below.
+# A block more than half of whose values lie outside [1e-4, 1e17) goes to
+# `%` whole too, since the kernel pays its own arithmetic for each of them
+# and then `%`. On one 64x65 block (best of 15, process time, the same VM),
+# the kernel took 1.0 ms against 2.3 ms for `%` with every value in range,
+# 2.6 ms against 2.6 ms with 40% out of range, 3.0 ms against 2.8 ms with
+# half out, and 4.8 ms against 2.9 ms with all out.
 _KERNEL_VALUES = 230
 
 
@@ -55,14 +62,27 @@ def _format_floats(values) -> str:
     '\\n'; any other shape as its values in order, joined by ','."""
     values = np.asarray(values, dtype=float)
     rows = values if values.ndim == 2 else values.reshape(1, -1)
-    small = values.size < _KERNEL_VALUES
-    text = "".join(_join(row, ",") + "\n" for row in rows.tolist()) if small else _kernel_text(rows)
+    text = _kernel_text(rows) if _takes_kernel(rows) else _joined_rows(rows)
     return text if values.ndim == 2 else text[:-1]
+
+
+def _takes_kernel(values: np.ndarray) -> bool:
+    """Whether the kernel writes `values` faster than `%`: from _KERNEL_VALUES
+    values on, unless more than half of them lie outside [1e-4, 1e17)."""
+    if values.size < _KERNEL_VALUES:
+        return False
+    ax = np.abs(values)
+    return 2 * np.count_nonzero((ax >= 1e-4) & (ax < 1e17)) >= values.size
 
 
 def _join(values: list, sep: str) -> str:
     """The floats `values` as `_FLOAT_FMT` writes them, `sep` between, in one % call."""
     return sep.join([_FLOAT_FMT] * len(values)) % tuple(values)
+
+
+def _joined_rows(rows: np.ndarray) -> str:
+    """The rows of the 2-d `rows` as `_format_floats` writes them, by `%` alone."""
+    return "".join(_join(row, ",") + "\n" for row in rows.tolist())
 
 
 def _veltkamp_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -37,7 +37,7 @@ from .datasets import (LabeledDataset, _check_signal_in_noise, _class_rows, _fir
 from .errors import (DegenerateTrace, DimensionMismatch, EmptyClass, InvalidParameter,
                      ParseError)
 from .moments import MomentSummary, _merge, _no_overflow
-from .spectral import Projector, _vectors, complement, sym_eig
+from .spectral import Projector, _pow2_scaled, _vectors, complement, sym_eig
 
 
 class NormalizationMode(enum.Enum):
@@ -205,10 +205,26 @@ def fit(
     )
 
 
-def _energies(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """<P x, x> = ||x U||^2 for every row x, with U the basis of P."""
-    y = x @ basis
+def _energies(x: np.ndarray, basis: np.ndarray, mean: np.ndarray | None = None) -> np.ndarray:
+    """<P y, y> = ||y U||^2 for every row y of x, or of x - mean if a mean
+    is given, with U the basis of P."""
+    y = (x if mean is None else x - mean) @ basis
     return np.einsum("ij,ij->i", y, y)
+
+
+def _pair(clf: EnergyClassifier, x1: np.ndarray, x2: np.ndarray,
+          centered: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(g_1, g_2) = (<P_1 y_1, y_1>, <P_2 y_2, y_2>) for the rows of x1 and
+    x2, with y_i = x_i - m_i if `centered`, else x_i, each divided by tr K_i
+    in trace mode. An overflow comes through as inf or nan, unwarned."""
+    means = (clf.mean1, clf.mean2) if centered else (None, None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g1 = _energies(x1, clf.proj1.basis, means[0])
+        g2 = _energies(x2, clf.proj2.basis, means[1])
+        if clf.mode is NormalizationMode.TRACE:
+            g1 /= clf.tr_k1
+            g2 /= clf.tr_k2
+    return g1, g2
 
 
 def _labels(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
@@ -216,8 +232,25 @@ def _labels(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return np.where(g1 > g2, 1, 2)
 
 
-def discriminants(clf: EnergyClassifier, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Discriminant pair (g_1, g_2) for a batch of row vectors."""
+# The least positive normal float: a pair both below it has lost bits, or all of them.
+_TINY = np.finfo(float).tiny
+
+
+def discriminants(clf: EnergyClassifier, x: np.ndarray, *, _decide: bool = False):
+    """Discriminant pair (g_1, g_2) for a batch of row vectors.
+
+    A row whose pair is not finite, or whose energies both fall below the
+    normal range while the row is not zero, is scored again after scaling
+    by 2^-e, e being the exponent of its largest |entry| (in centered mode,
+    of both differences x - m_i). The scaling is exact, so that row's pair
+    is the scaled pair times 2^2e; an energy beyond the float range is an
+    InvalidParameter naming the row. Every other row keeps the plain
+    arithmetic.
+
+    `decide_batch` and the sample sums pass `_decide`: the call then also
+    returns the decisions, those of the rows scored again taken from the
+    scaled pair, and lets an energy beyond the float range through as inf.
+    """
     x = np.atleast_2d(_vectors(x))
     if x.ndim != 2:
         raise DimensionMismatch(f"vectors must form a 2-d array of rows, got shape {x.shape}")
@@ -226,18 +259,35 @@ def discriminants(clf: EnergyClassifier, x: np.ndarray) -> tuple[np.ndarray, np.
     bad = _first_nonfinite_row(x)
     if bad is not None:
         raise InvalidParameter(f"non-finite value at row {bad + 1}")
-    mode = clf.mode
-    if mode is NormalizationMode.UNIT:
+    centered = clf.mode is NormalizationMode.CENTERED
+    if clf.mode is NormalizationMode.UNIT:
         x = _unit_rows(x)
-    if mode is NormalizationMode.CENTERED:
-        g1 = _energies(x - clf.mean1, clf.proj1.basis)
-        g2 = _energies(x - clf.mean2, clf.proj2.basis)
-    else:
-        g1 = _energies(x, clf.proj1.basis)
-        g2 = _energies(x, clf.proj2.basis)
-        if mode is NormalizationMode.TRACE:
-            g1 = g1 / clf.tr_k1
-            g2 = g2 / clf.tr_k2
+    g1, g2 = _pair(clf, x, x, centered)
+    labels = _labels(g1, g2) if _decide else None
+    top = np.maximum(g1, g2)  # nan if either is
+    rows = np.flatnonzero(~((top >= _TINY) & (top < np.inf)))
+    if rows.size:
+        x = x[rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x1, x2 = (x - clf.mean1, x - clf.mean2) if centered else (x, x)
+            top = np.maximum(np.abs(x1).max(axis=1), np.abs(x2).max(axis=1))
+        scored = top != 0  # a zero row's pair is (0, 0) at any scale
+        rows, x1, x2, top = rows[scored], x1[scored], x2[scored], top[scored, None]
+        (x1, e), (x2, _) = _pow2_scaled(x1, top), _pow2_scaled(x2, top)
+        s1, s2 = _pair(clf, x1, x2)
+        lost = np.flatnonzero(~(np.isfinite(s1) & np.isfinite(s2)))
+        if lost.size:
+            raise InvalidParameter(f"row {rows[lost[0]] + 1} is beyond the float range "
+                                   "of the scoring")
+        with np.errstate(over="ignore"):
+            g1[rows], g2[rows] = np.ldexp(s1, 2 * e[:, 0]), np.ldexp(s2, 2 * e[:, 0])
+        if _decide:
+            labels[rows] = _labels(s1, s2)
+    if _decide:
+        return g1, g2, labels
+    over = rows[~(np.isfinite(g1[rows]) & np.isfinite(g2[rows]))]
+    if over.size:
+        raise InvalidParameter(f"the energy of row {over[0] + 1} overflows a float")
     return g1, g2
 
 
@@ -247,13 +297,14 @@ def decide(clf: EnergyClassifier, x) -> int:
     x = _vectors(x)
     if x.ndim != 1 or x.shape[0] != clf.dim:
         raise DimensionMismatch(f"vector of shape {x.shape} vs model dim {clf.dim}")
-    g1, g2 = discriminants(clf, x[None])
-    return int(_labels(g1, g2)[0])
+    return int(decide_batch(clf, x[None])[0])
 
 
 def decide_batch(clf: EnergyClassifier, x) -> np.ndarray:
-    """Vectorized decision rule; ties go to class 2."""
-    return _labels(*discriminants(clf, x))
+    """Vectorized decision rule; ties go to class 2. A row whose energies
+    lie beyond the float range is decided by its pair scaled by a power
+    of two (see `discriminants`)."""
+    return discriminants(clf, x, _decide=True)[2]
 
 
 def energy_report(clf: EnergyClassifier, class1: ClassSpec, class2: ClassSpec) -> EnergyReport:
@@ -311,8 +362,10 @@ class _SampleSums:
         self.m2 = [0.0, 0.0]
 
     def add(self, labels: np.ndarray, features: np.ndarray) -> None:
-        g1, g2 = discriminants(self.clf, features)
-        hits = _labels(g1, g2) == labels
+        g1, g2, decided = discriminants(self.clf, features, _decide=True)
+        if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
+            raise InvalidParameter("sample energies overflow the float range; rescale the rows")
+        hits = decided == labels
         for i, g in enumerate((g1, g2)):
             g, won = _class_rows(labels, g, i + 1), _class_rows(labels, hits, i + 1)
             k = won.size
@@ -320,9 +373,12 @@ class _SampleSums:
                 continue
             kept = g * won  # the energy of the rows decided correctly
             mean = float(kept.mean())
-            m2 = float(np.sum(np.square(kept - mean)))
-            self.count[i], self.kept[i], self.m2[i] = _merge(
-                self.count[i], self.kept[i], self.m2[i], k, mean, m2)
+            # the squares may overflow, as in moments._MomentSum; only the
+            # standard error reads M2, and region_energy refuses it then
+            with np.errstate(over="ignore"):
+                m2 = float(np.sum(np.square(kept - mean)))
+                self.count[i], self.kept[i], self.m2[i] = _merge(
+                    self.count[i], self.kept[i], self.m2[i], k, mean, m2)
             self.g[i] += float(g.sum())
             self.won[i] += int(np.count_nonzero(won))
 
@@ -389,10 +445,15 @@ def region_energy(
 
     Estimates p_1 E[g_1(x); decide(x)=1 | S_1] + p_2 E[g_2(x); decide(x)=2 | S_2]
     from the labeled samples. With `return_stderr=True` also returns the
-    standard error of the estimate.
+    standard error of the estimate, which must fit a float (InvalidParameter
+    otherwise).
     """
     functionals = _sample_functionals(clf, data, (clf.prior1, clf.prior2))
-    return (functionals.region, functionals.stderr) if return_stderr else functionals.region
+    if not return_stderr:
+        return functionals.region
+    if not np.isfinite(functionals.stderr):
+        raise InvalidParameter("the standard error of the region energy overflows a float")
+    return functionals.region, functionals.stderr
 
 
 def snr(a, sigma2: float, n: int | None = None) -> float:

@@ -38,7 +38,7 @@ from ._text import _format_floats, _utf8_text
 from .errors import (DimensionMismatch, EnergydiscError, InvalidParameter, LabelError,
                      ParseError, ZeroSignal)
 from .moments import _check_psd
-from .spectral import _vectors, sym_matrix
+from .spectral import _pow2_scaled, _vectors, sym_matrix
 
 # A row whose Euclidean norm is at most this cannot be unit-normalized.
 _ZERO_NORM = 1e-12
@@ -57,15 +57,25 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     unit = x / norms[:, None]
     huge = ~np.isfinite(norms)
     if huge.any():
-        rows = np.ldexp(x[huge], -np.frexp(np.abs(x[huge]).max(axis=1, keepdims=True))[1])
+        rows, _ = _pow2_scaled(x[huge], np.abs(x[huge]).max(axis=1, keepdims=True))
         unit[huge] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     return unit
 
 
 def _first_nonfinite_row(x: np.ndarray) -> int | None:
-    """Index of the first row holding nan or inf, or None if there is none."""
-    finite = np.isfinite(x).all(axis=1)
-    return None if finite.all() else int(np.argmin(finite))
+    """Index of the first row of the 2-d `x` holding nan or inf, or None if
+    there is none.
+
+    A row holding nan or inf has a sum that is not finite, so only the rows
+    whose sums are not finite are looked at entry by entry; a finite row
+    whose sum overflows is among them and is cleared there. No N-by-n
+    temporary is formed unless many rows overflow their sums.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = x.sum(axis=1)
+    suspects = np.flatnonzero(~np.isfinite(sums))
+    bad = suspects[~np.isfinite(x[suspects]).all(axis=1)]
+    return int(bad[0]) if bad.size else None
 
 
 @dataclass(frozen=True)
@@ -147,7 +157,7 @@ def gen_example1(n: int, m1: Iterable, m2: Iterable, covariance: Iterable, per_c
         raise InvalidParameter("class means must be finite")
     # each mean scaled by its own power of two, which is exact and scales
     # both sides of the test alike, so that no product or norm overflows
-    u1, u2 = (np.ldexp(m, -np.frexp(np.abs(m).max())[1]) for m in (m1, m2))
+    u1, u2 = (_pow2_scaled(m, np.abs(m).max())[0] for m in (m1, m2))
     if abs(float(u1 @ u2)) > 1e-9 * np.linalg.norm(u1) * np.linalg.norm(u2):
         raise InvalidParameter("class means must be orthogonal")
     cov = sym_matrix(covariance)
@@ -293,18 +303,27 @@ def _check_room(path, rows: int, n: int) -> None:
 
 def _line_blocks(path) -> Iterator[tuple[int, list[str]]]:
     """(file line number of the first line, lines) for consecutive blocks of
-    about _READ_BYTES of the file at `path`.
+    about _READ_BYTES of the file at `path`, each ending where
+    `readlines(_READ_BYTES)` ends it.
 
     Blocks end at b'\\n', which no UTF-8 character and no line break
     other than '\\n' contains, so the blocks' str.splitlines() lines are
-    those of the whole text, numbered the same.
+    those of the whole text, numbered the same. Only the block being
+    decoded is held here: its bytes go before its lines are split, and a
+    yielded block's lines are dropped before the next block is read, so a
+    consumer that drops them too holds one block of text at a time.
     """
     first = 1
     with open(path, "rb") as fh:
-        while block := fh.readlines(_READ_BYTES):
-            lines = _utf8_text(b"".join(block), first).splitlines()
+        while data := b"".join(fh.readlines(_READ_BYTES)):
+            text = _utf8_text(data, first)
+            del data
+            lines = text.splitlines()
+            del text
+            count = len(lines)
             yield first, lines
-            first += len(lines)
+            del lines
+            first += count
 
 
 def _parse_rows(lines: list[str], n: int, first: int) -> tuple[np.ndarray, np.ndarray]:
@@ -368,7 +387,9 @@ def load_csv(path, feed: Callable[[np.ndarray, np.ndarray], None] | None = None)
     line L of the data file cannot be unit-normalized" with the file's data
     `row`, one without as it is. Blocks stop going to `feed` at the first
     non-finite row or error, and parsing goes on to the end of the file,
-    which is read once: a bad row's line comes from its block.
+    which is read once: a bad row's line comes from its block. A block's
+    lines, labels and features are dropped before the next block is read,
+    so with `feed` one block of text and its arrays are alive at a time.
     """
     blocks = None
     if feed is None:  # keep every block
@@ -378,18 +399,16 @@ def load_csv(path, feed: Callable[[np.ndarray, np.ndarray], None] | None = None)
             blocks.append((labels, features))
 
     rows = 0
-    nonfinite = error = None
+    n = nonfinite = error = None
     with contextlib.closing(_line_blocks(path)) as line_blocks:
-        _, lines = next(line_blocks, (1, []))
-        if not lines:
-            raise ParseError("missing header", 1)
-        n = lines[0].count(",")
-        if n < 1 or lines[0].split(",") != ["label"] + [f"x{i + 1}" for i in range(n)]:
-            raise ParseError(f"bad header {lines[0]!r}", 1)
-        # each block is parsed and fed before the next is read
-        for first, lines in itertools.chain([(2, lines[1:])], line_blocks):
-            parsed = _parse_table([line for line in lines if line], n)
-            labels, features = parsed if parsed is not None else _parse_rows(lines, n, first)
+        for first, lines in line_blocks:
+            if n is None:
+                n = lines[0].count(",")
+                if n < 1 or lines[0].split(",") != ["label"] + [f"x{i + 1}" for i in range(n)]:
+                    raise ParseError(f"bad header {lines[0]!r}", 1)
+                lines[0] = ""  # the header, skipped from here on as an empty line is
+            labels, features = (_parse_table([line for line in lines if line], n)
+                                or _parse_rows(lines, n, first))
             if nonfinite is None:
                 bad = _first_nonfinite_row(features)
                 if bad is not None:
@@ -404,6 +423,10 @@ def load_csv(path, feed: Callable[[np.ndarray, np.ndarray], None] | None = None)
                                              "cannot be unit-normalized", rows + exc.row)
                         error = exc
             rows += labels.shape[0]
+            # nothing of this block is held while the next one is read
+            del lines, labels, features
+    if n is None:
+        raise ParseError("missing header", 1)
     if nonfinite is not None:
         raise ParseError("values must be finite numbers", nonfinite)
     if error is not None:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
-from .spectral import Projector, _vectors, complement
+from .spectral import Projector, _pow2_scaled, _vectors, complement
 
 # Absolute cutoff on the spectrum of P + Q, which lives in [0, 2], on
 # 1 - cos theta and on sin theta; an absolute cutoff is well-scaled for all.
@@ -52,11 +52,6 @@ _BRACKET_SLACK = 1e-9
 def _check_same_dim(p: Projector, q: Projector) -> None:
     if p.dim != q.dim:
         raise DimensionMismatch(f"projector dims differ: {p.dim} vs {q.dim}")
-
-
-def _exponent(v: np.ndarray) -> int:
-    """e with max|v| < 2^e (0 for a zero vector), so that v * 2^-e is below 1."""
-    return math.frexp(float(np.max(np.abs(v))))[1]
 
 
 def membership(p: Projector, x) -> float:
@@ -83,12 +78,11 @@ def membership(p: Projector, x) -> float:
     # and an entry whose square is a normal float stays normal; then
     # U^T y = 2^f z with max|z| < 1 gives <Px,x> = 2^(2e + 2f) ||z||^2.
     # Scaling by a power of two is exact while the entries stay normal.
-    e = _exponent(x) - 513
-    c = p.basis.T @ np.ldexp(x, -e)
-    f = _exponent(c)
-    z = np.ldexp(c, -f)
+    y, e = _pow2_scaled(x, np.max(np.abs(x)), 513)
+    c = p.basis.T @ y
+    z, f = _pow2_scaled(c, np.max(np.abs(c), initial=0.0))
     try:
-        return math.ldexp(float(np.vdot(z, z)), 2 * (e + f))
+        return math.ldexp(float(np.vdot(z, z)), 2 * int(e + f))
     except OverflowError:
         raise InvalidParameter("the energy of the vector overflows a float") from None
 

@@ -45,6 +45,15 @@ def _vectors(x) -> np.ndarray:
         raise DimensionMismatch("vectors must be rows of numbers of one length") from exc
 
 
+def _pow2_scaled(x: np.ndarray, top, bits: int = 0):
+    """(x * 2^-e, e) for the power of two that brings `top` into
+    [2^(bits-1), 2^bits): `top` is the largest |entry| of x, or of each row
+    with a kept axis, which gives one e per row. e is 0 for a zero `top`.
+    The scaling is exact while the entries stay normal floats."""
+    e = np.frexp(top)[1] - bits
+    return np.ldexp(x, -e), e
+
+
 def sym_matrix(entries: Iterable) -> np.ndarray:
     """Build an n-by-n real symmetric matrix.
 
@@ -198,7 +207,7 @@ def projector_from_basis(vectors: Sequence, dim: int | None = None) -> Projector
     top = np.abs(columns).max(initial=0.0)
     if not np.isfinite(top):
         raise InvalidMatrix("basis vectors must be finite")
-    columns = np.ldexp(columns, -np.frexp(top)[1])
+    columns, _ = _pow2_scaled(columns, top)
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
     return Projector._from_basis(u[:, s > 1e-10 * np.linalg.norm(columns, axis=0).max()])
 

@@ -310,6 +310,69 @@ def test_discriminants_reject_nonfinite_rows(mode, value):
         decide(clf, x[1])
 
 
+# one direction at four scales: [2, 0.1] is labeled 1; both energies of
+# the second overflow a float, both of the last two fall below the normal
+# range, and at the parent the tie rule then labeled them 2
+_SCALED_ROWS = np.array([[2.0, 0.1], [2e160, 1e159], [2e-165, 1e-166], [1e-170, 3e-171]])
+
+
+@pytest.mark.parametrize("mode", ["raw", "trace"])
+def test_rows_at_extreme_scales_are_decided_by_their_scaled_pair(mode):
+    clf = fit(*gaussian_pair(), mode)
+    np.testing.assert_array_equal(decide_batch(clf, _SCALED_ROWS), [1, 1, 1, 1])
+    assert [decide(clf, x) for x in _SCALED_ROWS] == [1, 1, 1, 1]
+
+
+def test_centered_rows_far_out_are_decided_by_their_scaled_pair():
+    # P_1 projects onto e_1; far from both means, x - m_i is about x
+    clf = fit(ClassSpec(0.5, analytic_moments([2.0, 0.0], np.diag([4.0, 1.0]))),
+              ClassSpec(0.5, analytic_moments([0.0, 1.0], np.diag([1.0, 4.0]))), "centered")
+    assert clf.proj1.rank == 1
+    np.testing.assert_array_equal(decide_batch(clf, [[2e160, 1e159], [1e159, 2e160]]), [1, 2])
+    with pytest.raises(InvalidParameter, match="the energy of row 2 overflows a float"):
+        discriminants(clf, [[2.0, 0.1], [2e160, 1e159]])
+    # a difference x - m_1 beyond the float range has no scaled pair
+    far = dataclasses.replace(clf, mean1=np.array([-1e308, 0.0]))
+    with pytest.raises(InvalidParameter, match="row 2 is beyond the float range"):
+        decide_batch(far, [[2.0, 0.1], [1e308, 0.0]])
+
+
+@pytest.mark.parametrize("mode", ["raw", "trace"])
+def test_discriminants_of_rows_at_extreme_scales(mode):
+    clf = fit(*gaussian_pair(), mode)
+    with pytest.raises(InvalidParameter, match="the energy of row 2 overflows a float"):
+        discriminants(clf, _SCALED_ROWS)
+    # a tiny row's pair is its scaled pair times 2^2e, rounded once
+    tiny = _SCALED_ROWS[2:]
+    g1, g2 = discriminants(clf, tiny)
+    s1, s2 = discriminants(clf, np.ldexp(tiny, 600))
+    np.testing.assert_array_equal(g1, np.ldexp(s1, -1200))
+    np.testing.assert_array_equal(g2, np.ldexp(s2, -1200))
+    # the other rows keep the plain arithmetic, bit for bit
+    plain = discriminants(clf, _SCALED_ROWS[:1])
+    np.testing.assert_array_equal(discriminants(clf, _SCALED_ROWS[[0, 2]])[0][:1], plain[0])
+
+
+def test_sample_functionals_decide_tiny_rows_by_their_scaled_pair():
+    clf = fit(*gaussian_pair())
+    data = LabeledDataset([1, 1, 1], _SCALED_ROWS[[0, 2, 3]])
+    assert empirical_quality(clf, data, (1.0, 0.0), indicator=True) == 1.0
+
+
+def test_empirical_quality_of_rows_near_1e80_ignores_the_unused_variance():
+    # the kept energies are about 1e160, so their squared deviations overflow;
+    # only the standard error reads them
+    clf = fit(*gaussian_pair())
+    x = 1e80 * np.random.default_rng(24).standard_normal((40, 2))
+    data = LabeledDataset(np.repeat([1, 2], 20), x)
+    assert np.isfinite(empirical_quality(clf, data))
+    assert np.isfinite(region_energy(clf, data))
+    with pytest.raises(InvalidParameter, match="standard error"):
+        region_energy(clf, data, return_stderr=True)
+    with pytest.raises(InvalidParameter, match="sample energies overflow"):
+        empirical_quality(clf, LabeledDataset([1], [[2e160, 1e159]]))
+
+
 def _classifier_fields(**change):
     """The fields of a valid classifier of dim 2, with `change` applied."""
     p = projector_from_basis([np.array([1.0, 0.0])])

@@ -516,6 +516,26 @@ def test_fit_refuses_a_correlation_trace_beyond_the_float_range(capsys, tmp_path
         assert not model.exists()
 
 
+@pytest.mark.parametrize("mode", ["raw", "trace", "unit", "centered"])
+def test_predict_decides_rows_at_extreme_scales(capsys, tmp_path, mode):
+    # one direction at three scales: both energies of the second row
+    # overflow a float, both of the third fall below the normal range
+    train, data, model = tmp_path / "train.csv", tmp_path / "scaled.csv", tmp_path / "model.txt"
+    run_cli(capsys, "gen-example1", "--n", "2", "--m1", "2,0", "--m2", "0,1",
+            "--per-class", "50", "--seed", "1", "--out", str(train))
+    assert run_cli(capsys, "fit", "--data", str(train), "--mode", mode,
+                   "--out", str(model))[0] == 0
+    data.write_text("label,x1,x2\n1,2,0.1\n1,2e160,1e159\n1,2e-165,1e-166\n")
+    code, out, err = run_cli(capsys, "predict", "--model", str(model), "--data", str(data))
+    if mode == "unit":  # unit mode keeps its absolute zero-norm threshold
+        assert (code, out, err) == (2, "", "error: zero vector at line 4 of the data file "
+                                           "cannot be unit-normalized\n")
+    elif mode == "centered":  # not scale-free: x - m_i is scored
+        assert (code, len(out.split()), err) == (0, 3, "")
+    else:
+        assert (code, out, err) == (0, "1\n1\n1\n", "")
+
+
 @pytest.mark.parametrize("argv", [
     ["gen-example2", "--n", "2", "--a", "1,0", "--sigma2", "nan"],
     ["gen-example2", "--n", "2", "--a", "1,0", "--sigma2", "inf"],

@@ -66,6 +66,47 @@ def test_labeled_dataset_rejects_nonfinite_features(value):
         LabeledDataset(np.array([1, 2, 1]), features)
 
 
+def _screen_case(shape, **entries):
+    x = np.zeros(shape)
+    for where, value in entries.items():
+        row, col = map(int, where[1:].split("_"))
+        x[row, col] = value
+    return x
+
+
+_SCREEN_CASES = {
+    "nan": _screen_case((5, 3), r2_1=np.nan),
+    "inf-first-row": _screen_case((5, 3), r0_0=np.inf),
+    "minus-inf-last-row": _screen_case((5, 3), r4_2=-np.inf),
+    "inf-minus-inf": _screen_case((5, 3), r3_0=np.inf, r3_2=-np.inf),
+    # a finite row whose sum overflows is cleared, and the later nan row named
+    "overflowing-sum-before-nan": _screen_case((5, 3), r1_0=1e308, r1_1=1e308, r3_2=np.nan),
+    "overflowing-sums-only": np.full((4, 3), 1e308),
+    "finite": np.arange(12.0).reshape(4, 3),
+    "empty": np.zeros((0, 3)),
+    "zero-width": np.zeros((4, 0)),
+}
+
+
+@pytest.mark.parametrize("x", _SCREEN_CASES.values(), ids=_SCREEN_CASES.keys())
+def test_nonfinite_screen_gives_the_answer_of_the_mask(x):
+    finite = np.isfinite(x).all(axis=1)
+    assert datasets._first_nonfinite_row(x) == (None if finite.all() else int(np.argmin(finite)))
+
+
+def test_labeled_dataset_allocates_little_beyond_its_rows():
+    # the finiteness screen keeps one float a row, not one bool an entry
+    features = np.random.default_rng(25).standard_normal((20000, 128))
+    labels = np.repeat([1, 2], 10000)
+    tracemalloc.start()
+    try:
+        LabeledDataset(labels, features)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.03 * features.nbytes
+
+
 # (labels, label, whether the rows labeled `label` form one consecutive run)
 _CLASS_LAYOUTS = [
     ([1, 1, 1, 2, 2], 1, True),
@@ -285,14 +326,17 @@ def test_csv_header_layout(tmp_path):
 
 def _float_mismatches(values, *, one_by_one: bool = False) -> list:
     """(value, written, expected) for each value that `_text._format_floats`,
-    its kernel taking every input, writes otherwise than `_FLOAT_FMT % v`:
-    the values as one column, as one 1-d vector and, if `one_by_one`,
+    its kernel taking every input from one value on, or the kernel itself
+    writes otherwise than `_FLOAT_FMT % v`: the values as one column, by the
+    kernel and by `_format_floats`, as one 1-d vector and, if `one_by_one`,
     each on its own."""
     values = np.asarray(values, dtype=float).ravel().tolist()
     want = [_text._FLOAT_FMT % v for v in values]
+    column = np.array(values)[:, None]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_text, "_KERNEL_VALUES", 1)
-        shapes = [_text._format_floats(np.array(values)[:, None]).splitlines(),
+        shapes = [_text._kernel_text(column).splitlines(),
+                  _text._format_floats(column).splitlines(),
                   _text._format_floats(values).split(",")]
         if one_by_one:
             shapes.append([_text._format_floats(v) for v in values])
@@ -348,6 +392,26 @@ def test_format_floats_runs_the_kernel_from_the_crossover_on(monkeypatch):
             assert _text._format_floats(values.reshape(-1, 2)) == "".join(lines)
     assert sizes == [at, at]
     assert _text._format_floats([]) == _text._format_floats(np.zeros((0, 3))) == ""
+
+
+def test_format_floats_writes_a_block_mostly_out_of_range_by_percent(monkeypatch):
+    calls = []
+    kernel = _text._kernel_text
+
+    def counted(rows):
+        calls.append(rows.size)
+        return kernel(rows)
+
+    monkeypatch.setattr(_text, "_kernel_text", counted)
+    values = np.full((10, 30), 0.5)
+    # half of the values out of range go to the kernel, one more to `%`
+    for out, used in ((150, [300]), (151, [])):
+        values.flat[:out] = 1e20
+        calls.clear()
+        want = "".join(",".join(_text._FLOAT_FMT % v for v in row) + "\n"
+                       for row in values.tolist())
+        assert _text._format_floats(values) == want
+        assert calls == used
 
 
 def test_csv_empty_dataset_round_trip(tmp_path):
@@ -485,6 +549,19 @@ def test_csv_reads_the_same_in_small_blocks(monkeypatch, tmp_path, text, expecte
     # 1 byte makes every '\n'-ended line a block of its own
     monkeypatch.setattr(datasets, "_READ_BYTES", read_bytes)
     assert _load_outcome(tmp_path, text) == expected
+
+
+def test_load_csv_holds_one_block_of_text_at_a_time(tmp_path):
+    path = tmp_path / "blocks.csv"
+    save_csv(gen_example2(64, np.full(64, 0.5), 1.0, 1800, 7), path)
+    assert path.stat().st_size > 4 * datasets._READ_BYTES
+    tracemalloc.start()
+    try:
+        assert load_csv(path, lambda labels, features: None) == 3600
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * datasets._READ_BYTES
 
 
 @pytest.mark.parametrize("write_floats", [1, 7])

@@ -88,6 +88,10 @@ def test_membership_refuses_an_energy_that_overflows(p, x):
         membership(p, x)
 
 
+def test_membership_of_the_zero_projector_on_a_vector_whose_norm_overflows():
+    assert membership(zero_projector(2), [1e200, 0.0]) == 0.0
+
+
 @pytest.mark.parametrize("connective", [meet, join, leq])
 def test_connectives_reject_projectors_of_different_dims(connective):
     plane = identity_projector(3)

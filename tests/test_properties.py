@@ -1,4 +1,5 @@
-"""Hypothesis properties of the model file and of the CSV float writer.
+"""Hypothesis properties of the model file, of the CSV float writer and
+of decisions at any scale.
 
 Every example is drawn from a fixed seed (`derandomize=True`), so the suite
 stays deterministic. The fits run over n in 1..8, all four modes, random
@@ -21,6 +22,7 @@ from energydisc import (  # noqa: E402
     EnergydiscError,
     NormalizationMode,
     analytic_moments,
+    decide_batch,
     fit,
     format_model,
     parse_model,
@@ -38,9 +40,9 @@ def _moments(draw, n):
 
 
 @st.composite
-def fitted(draw):
+def fitted(draw, modes=tuple(NormalizationMode)):
     n = draw(st.integers(1, 8))
-    mode = draw(st.sampled_from(list(NormalizationMode)))
+    mode = draw(st.sampled_from(modes))
     prior = draw(st.floats(0.01, 0.99))
     m1, m2 = _moments(draw, n), _moments(draw, n)
     if mode is NormalizationMode.TRACE:
@@ -96,9 +98,30 @@ def test_a_model_that_saves_also_loads(clf, field, data):
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
 def test_csv_rows_write_every_finite_float_as_float_fmt_does(values):
     texts = [_text._FLOAT_FMT % v for v in values]
-    # the kernel takes every input, as it takes CSV blocks, whatever the count
+    assert _text._kernel_text(np.array([[2.0, *values]])) == ",".join(["2", *texts]) + "\n"
+    # the kernel takes the inputs it is chosen for, as it takes CSV blocks, whatever the count
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_text, "_KERNEL_VALUES", 1)
         assert _text._format_floats([[2.0, *values]]) == ",".join(["2", *texts]) + "\n"
         assert _text._format_floats(values) == ",".join(texts)
         assert [_text._format_floats(v) for v in values] == texts
+
+
+# multiples of 2^-10 up to 2^10: no entry of 2^k x is subnormal for k >= -900
+_ROW_ENTRIES = st.integers(-2**20, 2**20).map(lambda v: v / 1024)
+# k in [-900, 900], a third of the draws beyond each end of [-500, 500],
+# where the energies of 2^k x underflow or overflow
+_SCALES = st.integers(-900, -501) | st.integers(-500, 500) | st.integers(501, 900)
+
+
+@PROPERTY
+@given(fitted(modes=(NormalizationMode.RAW, NormalizationMode.TRACE, NormalizationMode.UNIT)),
+       _SCALES, st.data())
+def test_decisions_do_not_depend_on_a_power_of_two_scale(clf, k, data):
+    x = data.draw(arrays(np.float64, (4, clf.dim), elements=_ROW_ENTRIES))
+    try:
+        want = decide_batch(clf, x)
+        got = decide_batch(clf, np.ldexp(x, k))
+    except EnergydiscError:
+        return  # a typed error, such as unit mode's zero rows
+    np.testing.assert_array_equal(got, want)
