@@ -44,14 +44,15 @@ def _parse_floats(text: str) -> np.ndarray:
     return np.array(list(map(float, text.split(","))))
 
 
-def _utf8_text(data: bytes, first: int) -> str:
-    """`data` decoded as UTF-8, its first line being file line `first`;
-    a byte that is not UTF-8 is a ParseError naming its line."""
+def _utf8_text(data: bytes | memoryview, first: int) -> str:
+    """`data` decoded as UTF-8 without a copy of its bytes, its first line
+    being file line `first`; a byte that is not UTF-8 is a ParseError
+    naming its line."""
     try:
-        return data.decode("utf-8")
+        return str(data, "utf-8")
     except UnicodeDecodeError as exc:
         # '?' stands for the bad byte, so the last line counted is its line
-        before = data[:exc.start].decode("utf-8") + "?"
+        before = str(data[:exc.start], "utf-8") + "?"
         line = first + len(before.splitlines()) - 1
         raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line) from exc
 

@@ -11,13 +11,17 @@ one sample per row, labels in {1,2}, finite floats written by
 `_text._format_floats`, so values survive a round trip exactly. Files
 are read once, in blocks of bounded size, so neither the text of a file
 nor its values as Python floats are ever held whole, and a pipe reads as
-a file does. Loading converts each well-formed block in one numpy.loadtxt
-call; any other block goes through a line-by-line parser that takes
-every spelling int() and float() take and names the first bad line, as
-the block of a non-finite row or of a consumer's zero row names its
-line. Given a consumer, `load_csv` hands it each parsed block and keeps
-nothing, so a caller that only needs sums of the rows, as the CLI does,
-never holds the feature array; without one it keeps every block.
+a file does. Each block is read into one reused buffer, the rest of its
+last line appended, and decoded from it in pieces. A block whose every data line
+starts with the label 1 or 2 and a ',' and holds no unit separator
+'\\x1f' goes to one numpy.loadtxt call, which must give it n + 1 columns
+on every line. Any other block, or one loadtxt refuses, goes through a
+line-by-line parser that takes every spelling int() and float() take and
+names the first bad line, as the block of a non-finite row or of a
+consumer's zero row names its line. Given a consumer, `load_csv` hands
+it each parsed block and keeps nothing, so a caller that only needs sums
+of the rows, as the CLI does, never holds the feature array; without one
+it keeps every block.
 `save_csv` writes a stream of blocks too, as `gen_example2`'s are drawn.
 """
 
@@ -26,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import itertools
+import operator
 import os
 import shutil
 import stat
@@ -234,9 +239,12 @@ def unit_normalized(data: LabeledDataset) -> LabeledDataset:
 # blocks of about this many floats, so memory does not grow with the rows.
 # At 2^12 floats every temporary of the float writer stays below 256 KiB,
 # so that under a glibc mmap threshold of that size none is mapped anew
-# per block.
+# per block. A read block is decoded in pieces of about _DECODE_BYTES for
+# the same reason: a whole block's text would take a fresh 1 MiB mapping,
+# and 256 page faults, per block.
 _READ_BYTES = 1 << 20
 _WRITE_FLOATS = 1 << 12
+_DECODE_BYTES = 1 << 16
 
 
 def save_csv(data, path) -> None:
@@ -306,20 +314,31 @@ def _line_blocks(path) -> Iterator[tuple[int, list[str]]]:
     about _READ_BYTES of the file at `path`, each ending where
     `readlines(_READ_BYTES)` ends it.
 
-    Blocks end at b'\\n', which no UTF-8 character and no line break
-    other than '\\n' contains, so the blocks' str.splitlines() lines are
-    those of the whole text, numbered the same. Only the block being
-    decoded is held here: its bytes go before its lines are split, and a
-    yielded block's lines are dropped before the next block is read, so a
-    consumer that drops them too holds one block of text at a time.
+    One bytearray of _READ_BYTES is reused for every block: `readinto`
+    fills it and `readline` appends the rest of its last line. readlines
+    stops only once its total exceeds the hint, so a line that ends exactly
+    at the hint is followed by the next one there as here. The buffer is
+    decoded in place, with no bytes copy, in pieces of about _DECODE_BYTES.
+    Blocks and pieces end at b'\\n', which no UTF-8 character and no line
+    break other than '\\n' contains, so their str.splitlines() lines are
+    those of the whole text, numbered the same. A yielded block's lines
+    are dropped before the next block is read, so a consumer that drops
+    them too holds one block of text at a time, beside the buffer.
     """
     first = 1
+    block = bytearray(_READ_BYTES)
     with open(path, "rb") as fh:
-        while data := b"".join(fh.readlines(_READ_BYTES)):
-            text = _utf8_text(data, first)
-            del data
-            lines = text.splitlines()
-            del text
+        while size := fh.readinto(block):
+            del block[size:]  # a short read, only at the end of the file, leaves old bytes
+            block += fh.readline()
+            lines = []
+            with memoryview(block) as view:
+                start = 0
+                while start < len(block):
+                    end = block.find(b"\n", start + _DECODE_BYTES) + 1 or len(block)
+                    lines += _utf8_text(view[start:end], first + len(lines)).splitlines()
+                    start = end
+            del block[_READ_BYTES:]
             count = len(lines)
             yield first, lines
             del lines
@@ -355,14 +374,22 @@ def _parse_rows(lines: list[str], n: int, first: int) -> tuple[np.ndarray, np.nd
 def _parse_table(rows: list[str], n: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Parse non-empty data lines in one loadtxt call, or None if any line
     needs the line-by-line parser (to be rejected or for a spelling such as
-    `1_0` that float() takes and loadtxt does not)."""
+    `1_0` that float() takes and loadtxt does not).
+
+    The lines go to loadtxt only if every one starts with "1," or "2,"
+    (checked as one set of two-character prefixes) and none holds '\\x1f'.
+    loadtxt itself counts the fields, refusing a line whose count differs
+    from the first line's, and the table must then have n + 1 columns.
+    """
     # loadtxt strips the unit separator \x1f as whitespace, float() does not
-    if not rows or not all(row.count(",") == n and row[:2] in ("1,", "2,")
-                           and "\x1f" not in row for row in rows):
+    if (not rows or not set(map(operator.itemgetter(slice(2)), rows)) <= {"1,", "2,"}
+            or any("\x1f" in row for row in rows)):
         return None
     try:
-        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, max_rows=len(rows))
     except ValueError:
+        return None
+    if table.shape[1] != n + 1:
         return None
     return table[:, 0].astype(int), np.ascontiguousarray(table[:, 1:])
 

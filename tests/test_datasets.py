@@ -564,6 +564,65 @@ def test_load_csv_holds_one_block_of_text_at_a_time(tmp_path):
     assert peak < 4 * datasets._READ_BYTES
 
 
+def _readlines_blocks(path, hint):
+    """The (first line, lines) blocks of `path` as `readlines(hint)` ends them."""
+    first = 1
+    with open(path, "rb") as fh:
+        while data := b"".join(fh.readlines(hint)):
+            lines = data.decode("utf-8").splitlines()
+            yield first, lines
+            first += len(lines)
+
+
+# With a hint of 16 bytes, the header "label,x1\n" takes bytes 0-8, so a
+# second line of 7 bytes ends exactly at the hint, one of 6 one byte before
+# it and one of 8 one byte after it.
+_HINT = 16
+_LINE_BLOCK_TEXTS = [
+    pytest.param(b"label,x1\n1,2.25\n2,3\n1,4\n", id="ends-at-the-hint"),
+    pytest.param(b"label,x1\n1,2.5\n2,3\n1,4\n", id="ends-before-the-hint"),
+    pytest.param(b"label,x1\n1,2.125\n2,3\n1,4\n", id="ends-after-the-hint"),
+    pytest.param(b"label,x1\n1,1.2345678901234567890123456789\n2,3\n", id="longer-than-the-hint"),
+    pytest.param(b"label,x1\n1,2.25\n2,3", id="no-final-newline"),
+    pytest.param(b"", id="empty"),
+    pytest.param(b"label,x1\r\n1,2.2\r\n\r\n2,3\r\n1,4.75\r\n", id="crlf"),
+    # bytes 15-16 are the two of U+00E9, so the hint falls between them
+    pytest.param("label,x1\n1,2.25é\n2,3\n".encode("utf-8"), id="utf8-across-the-hint"),
+]
+
+
+@pytest.mark.parametrize("data", _LINE_BLOCK_TEXTS)
+def test_line_blocks_end_where_readlines_ends_them(monkeypatch, tmp_path, data):
+    path = tmp_path / "blocks.csv"
+    path.write_bytes(data)
+    # every hint up to past the file's end, so that each line ends exactly
+    # at one of them, one byte before one and one byte after one, each
+    # block decoded whole or in pieces of a few bytes
+    for hint in [_HINT, *range(1, len(data) + 2)]:
+        monkeypatch.setattr(datasets, "_READ_BYTES", hint)
+        for piece in (1, 5, datasets._DECODE_BYTES):
+            monkeypatch.setattr(datasets, "_DECODE_BYTES", piece)
+            assert list(datasets._line_blocks(path)) == list(_readlines_blocks(path, hint)), (
+                hint, piece)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("read_bytes, decode_bytes", [(_HINT, 1 << 16), (1 << 20, 1),
+                                                      (1 << 20, 5)])
+def test_line_blocks_name_the_line_of_a_bad_byte_after_the_first_piece(
+        monkeypatch, tmp_path, read_bytes, decode_bytes):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"label,x1\n1,2.25\n2,3\n1,4\n2,\xff\n1,5\n")
+    monkeypatch.setattr(datasets, "_READ_BYTES", read_bytes)
+    monkeypatch.setattr(datasets, "_DECODE_BYTES", decode_bytes)
+    blocks = datasets._line_blocks(path)
+    if read_bytes == _HINT:
+        assert next(blocks) == (1, ["label,x1", "1,2.25", "2,3"])
+    with pytest.raises(ParseError) as info:
+        next(blocks)
+    assert info.value.line == 5 and "invalid UTF-8 byte 0xff" in str(info.value)
+
+
 @pytest.mark.parametrize("write_floats", [1, 7])
 def test_csv_writes_the_same_in_small_blocks(monkeypatch, tmp_path, write_floats):
     drawn = gen_example2(3, [0.3, -1.7, 2.5], 1.5, per_class=5, seed=21)

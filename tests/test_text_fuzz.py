@@ -139,3 +139,42 @@ def test_cli_on_mutated_files_exits_0_1_or_2(model, csv):
                 code = run(argv)
             assert code in (0, 1, 2), (argv[0], code)
             assert "Traceback" not in err.getvalue()
+
+
+# Row text for the loadtxt path's oracle: the spellings of a label that
+# only the line-by-line parser takes, and fields over the characters
+# numbers are written with, the unit separator (which loadtxt strips as
+# whitespace and float() refuses) and "nan".
+_LABELS = ["1", "2", "+1", "01", "1.0"]
+_FIELD_TOKENS = list("0123456789,.e+- \x1f") + ["nan"]
+
+
+@st.composite
+def table_rows(draw):
+    """(non-empty data lines, n): each a label, mostly 1 or 2, then mostly
+    n fields, mostly well-formed numbers, the rest drawn from _FIELD_TOKENS."""
+    n = draw(st.integers(1, 3))
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    token = st.lists(st.sampled_from(_FIELD_TOKENS), min_size=1, max_size=3).map("".join)
+    field = st.one_of(number, number, number, number, number, token)
+    label = st.sampled_from(["1", "2"] * 8 + _LABELS)
+    width = st.sampled_from([n] * 8 + [n - 1, n + 1])
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(width)
+        fields = draw(st.lists(field, min_size=size, max_size=size))
+        rows.append(",".join([draw(label), *fields]))
+    return rows, n
+
+
+@settings(FUZZ, max_examples=200)
+@given(table_rows())
+def test_parse_table_gives_none_or_what_the_line_parser_gives(case):
+    rows, n = case
+    table = datasets._parse_table(rows, n)
+    if table is None:
+        return
+    labels, features = datasets._parse_rows(rows, n, 2)
+    assert table[0].tolist() == labels.tolist() and table[0].dtype == labels.dtype
+    assert table[1].shape == features.shape and table[1].dtype == features.dtype
+    assert table[1].tobytes() == features.tobytes()
