@@ -125,15 +125,24 @@ class EnergyReport:
     total: float
 
 
-def _mode_matrix(moments: MomentSummary, mode: NormalizationMode,
-                 tr: float | None = None) -> np.ndarray:
+def _traces(class1: ClassSpec, class2: ClassSpec, centered: bool = False) -> tuple[float, float]:
+    """The traces of the two classes' correlations K, or of their
+    covariances if `centered`; finite moments may still have a trace beyond
+    the float range, which is an InvalidParameter."""
+    with np.errstate(over="ignore"):
+        traces = tuple(float(np.trace(c.moments.covariance if centered else c.moments.correlation))
+                       for c in (class1, class2))
+    _no_overflow(np.array(traces))
+    return traces
+
+
+def _mode_matrix(moments: MomentSummary, mode: NormalizationMode, tr: float) -> np.ndarray:
     """Operator carrying the class energy under the given mode; trace mode
-    divides by `tr`, tr K, taken from the moments unless given."""
+    divides by `tr`, the class's tr K."""
     if mode is NormalizationMode.CENTERED:
         return moments.covariance
     k = moments.correlation
     if mode is NormalizationMode.TRACE:
-        tr = float(np.trace(k)) if tr is None else tr
         if tr <= 0.0:
             raise DegenerateTrace(f"correlation trace {tr} is not positive")
         return k / tr
@@ -179,11 +188,7 @@ def fit(
     n = class1.moments.dim
     if class2.moments.dim != n:
         raise DimensionMismatch("class moment dimensions differ")
-    # both traces once, before any operator: finite moments may still have
-    # a trace beyond the float range
-    with np.errstate(over="ignore"):
-        tr1, tr2 = (float(np.trace(c.moments.correlation)) for c in (class1, class2))
-    _no_overflow(np.array([tr1, tr2]))
+    tr1, tr2 = _traces(class1, class2)
     m1 = _mode_matrix(class1.moments, mode, tr1)
     m2 = _mode_matrix(class2.moments, mode, tr2)
     values, vectors = sym_eig(class1.prior * m1 - class2.prior * m2)
@@ -236,20 +241,16 @@ def _labels(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
 _TINY = np.finfo(float).tiny
 
 
-def discriminants(clf: EnergyClassifier, x: np.ndarray, *, _decide: bool = False):
-    """Discriminant pair (g_1, g_2) for a batch of row vectors.
+def _scores(clf: EnergyClassifier, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g_1, g_2, labels) for a batch of row vectors.
 
     A row whose pair is not finite, or whose energies both fall below the
     normal range while the row is not zero, is scored again after scaling
     by 2^-e, e being the exponent of its largest |entry| (in centered mode,
     of both differences x - m_i). The scaling is exact, so that row's pair
-    is the scaled pair times 2^2e; an energy beyond the float range is an
-    InvalidParameter naming the row. Every other row keeps the plain
+    is the scaled pair times 2^2e, inf if beyond the float range, and its
+    label is decided from the scaled pair. Every other row keeps the plain
     arithmetic.
-
-    `decide_batch` and the sample sums pass `_decide`: the call then also
-    returns the decisions, those of the rows scored again taken from the
-    scaled pair, and lets an energy beyond the float range through as inf.
     """
     x = np.atleast_2d(_vectors(x))
     if x.ndim != 2:
@@ -263,7 +264,7 @@ def discriminants(clf: EnergyClassifier, x: np.ndarray, *, _decide: bool = False
     if clf.mode is NormalizationMode.UNIT:
         x = _unit_rows(x)
     g1, g2 = _pair(clf, x, x, centered)
-    labels = _labels(g1, g2) if _decide else None
+    labels = _labels(g1, g2)
     top = np.maximum(g1, g2)  # nan if either is
     rows = np.flatnonzero(~((top >= _TINY) & (top < np.inf)))
     if rows.size:
@@ -281,11 +282,16 @@ def discriminants(clf: EnergyClassifier, x: np.ndarray, *, _decide: bool = False
                                    "of the scoring")
         with np.errstate(over="ignore"):
             g1[rows], g2[rows] = np.ldexp(s1, 2 * e[:, 0]), np.ldexp(s2, 2 * e[:, 0])
-        if _decide:
-            labels[rows] = _labels(s1, s2)
-    if _decide:
-        return g1, g2, labels
-    over = rows[~(np.isfinite(g1[rows]) & np.isfinite(g2[rows]))]
+        labels[rows] = _labels(s1, s2)
+    return g1, g2, labels
+
+
+def discriminants(clf: EnergyClassifier, x):
+    """Discriminant pair (g_1, g_2) for a batch of row vectors, each row
+    scored at any scale as `_scores` does; an energy beyond the float range
+    is an InvalidParameter naming the row."""
+    g1, g2, _ = _scores(clf, x)
+    over = np.flatnonzero(~(np.isfinite(g1) & np.isfinite(g2)))
     if over.size:
         raise InvalidParameter(f"the energy of row {over[0] + 1} overflows a float")
     return g1, g2
@@ -303,8 +309,8 @@ def decide(clf: EnergyClassifier, x) -> int:
 def decide_batch(clf: EnergyClassifier, x) -> np.ndarray:
     """Vectorized decision rule; ties go to class 2. A row whose energies
     lie beyond the float range is decided by its pair scaled by a power
-    of two (see `discriminants`)."""
-    return discriminants(clf, x, _decide=True)[2]
+    of two (see `_scores`)."""
+    return _scores(clf, x)[2]
 
 
 def energy_report(clf: EnergyClassifier, class1: ClassSpec, class2: ClassSpec) -> EnergyReport:
@@ -314,18 +320,22 @@ def energy_report(clf: EnergyClassifier, class1: ClassSpec, class2: ClassSpec) -
     projector P_i passes from class S_j, with M_j the mode's operator.
     Each entry is computed from P_i's own basis U_i as the sum of
     (M_j U_i) * U_i, so Enr_C + Enr_E = total is a check, not an identity
-    of the arithmetic.
+    of the arithmetic. A trace of the mode's class operators, an entry or
+    the total beyond the float range is an InvalidParameter.
     """
     if class1.moments.dim != clf.dim or class2.moments.dim != clf.dim:
         raise DimensionMismatch("class moments do not match the model dimension")
-    ops = (_mode_matrix(class1.moments, clf.mode), _mode_matrix(class2.moments, clf.mode))
+    traces = _traces(class1, class2, clf.mode is NormalizationMode.CENTERED)
+    ops = tuple(_mode_matrix(c.moments, clf.mode, tr) for c, tr in zip((class1, class2), traces))
     priors = (class1.prior, class2.prior)
     bases = (clf.proj1.basis, clf.proj2.basis)
-    r = np.array(
-        [[priors[j] * float(np.sum((ops[j] @ bases[i]) * bases[i])) for i in range(2)]
-         for j in range(2)]
-    )
-    total = priors[0] * float(np.trace(ops[0])) + priors[1] * float(np.trace(ops[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.array(
+            [[priors[j] * float(np.sum((ops[j] @ bases[i]) * bases[i])) for i in range(2)]
+             for j in range(2)]
+        )
+        total = priors[0] * float(np.trace(ops[0])) + priors[1] * float(np.trace(ops[1]))
+    _no_overflow(r, np.array(total))
     return EnergyReport(
         r=r,
         enr_correct=float(r[0, 0] + r[1, 1]),
@@ -342,6 +352,9 @@ class _Functionals(NamedTuple):
     region: float  # sum_i p_i * mean over class i of g_i kept by correct decisions
     stderr: float  # the standard error of `region`
     accuracy: float  # the share of rows decided correctly, priors aside
+
+
+_SAMPLE_OVERFLOW = "sample energies overflow the float range; rescale the rows"
 
 
 class _SampleSums:
@@ -362,24 +375,27 @@ class _SampleSums:
         self.m2 = [0.0, 0.0]
 
     def add(self, labels: np.ndarray, features: np.ndarray) -> None:
-        g1, g2, decided = discriminants(self.clf, features, _decide=True)
+        g1, g2, decided = _scores(self.clf, features)
         if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
-            raise InvalidParameter("sample energies overflow the float range; rescale the rows")
+            raise InvalidParameter(_SAMPLE_OVERFLOW)
         hits = decided == labels
         for i, g in enumerate((g1, g2)):
             g, won = _class_rows(labels, g, i + 1), _class_rows(labels, hits, i + 1)
             k = won.size
             if k == 0:
                 continue
-            kept = g * won  # the energy of the rows decided correctly
-            mean = float(kept.mean())
-            # the squares may overflow, as in moments._MomentSum; only the
-            # standard error reads M2, and region_energy refuses it then
+            # a class sum or mean may overflow, which is refused; the squares
+            # may too, as in moments._MomentSum, but only the standard error
+            # reads M2, and region_energy refuses it then
             with np.errstate(over="ignore"):
+                self.g[i] += float(g.sum())
+                kept = g * won  # the energy of the rows decided correctly
+                mean = float(kept.mean())
                 m2 = float(np.sum(np.square(kept - mean)))
                 self.count[i], self.kept[i], self.m2[i] = _merge(
                     self.count[i], self.kept[i], self.m2[i], k, mean, m2)
-            self.g[i] += float(g.sum())
+            if not (np.isfinite(self.g[i]) and np.isfinite(mean)):
+                raise InvalidParameter(_SAMPLE_OVERFLOW)
             self.won[i] += int(np.count_nonzero(won))
 
     def functionals(self, priors: tuple[float, float]) -> _Functionals:
@@ -457,7 +473,8 @@ def region_energy(
 
 
 def snr(a, sigma2: float, n: int | None = None) -> float:
-    """Signal-to-noise ratio ||a||^2 / (n * sigma^2) of a signal in white noise."""
+    """Signal-to-noise ratio ||a||^2 / (n * sigma^2) of a signal in white noise;
+    InvalidParameter if ||a||^2 or the ratio is beyond the float range."""
     a = _vectors(a)
     _check_signal_in_noise(a, sigma2)
     if a.ndim != 1:
@@ -466,7 +483,11 @@ def snr(a, sigma2: float, n: int | None = None) -> float:
         n = a.shape[0]
     if not n >= 1:  # NaN fails the comparison
         raise InvalidParameter("dimension must be at least 1")
-    return float(a @ a) / (n * sigma2)
+    with np.errstate(over="ignore"):
+        ratio = float(a @ a) / (n * sigma2)
+    if not np.isfinite(ratio):
+        raise InvalidParameter("the signal-to-noise ratio overflows a float")
+    return ratio
 
 
 # -- model persistence ---------------------------------------------------

@@ -178,8 +178,7 @@ def _cmd_eval(args) -> int:
 
     def feed(labels, features):
         _add_class_rows(sums, labels, features, model.mode)
-        if features.shape[1] == model.dim:  # else energy_report refuses the moments
-            scores.add(labels, features)
+        scores.add(labels, features)
 
     rows = ds_mod.load_csv(args.data, feed)
     mom1, mom2 = _class_summaries(sums)

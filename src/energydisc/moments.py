@@ -151,9 +151,14 @@ def analytic_moments(mean: Iterable, covariance: Iterable) -> MomentSummary:
 
 
 def expected_quadratic(a: Iterable, k: Iterable) -> float:
-    """Expected energy E<Ax,x> through the operator A, i.e. tr(KA)."""
+    """Expected energy E<Ax,x> through the operator A, i.e. tr(KA);
+    InvalidParameter if it is beyond the float range."""
     a = sym_matrix(a)
     k = sym_matrix(k)
     if a.shape != k.shape:
         raise DimensionMismatch(f"operator shapes differ: {a.shape} vs {k.shape}")
-    return float(np.trace(k @ a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = float(np.trace(k @ a))
+    if not np.isfinite(energy):
+        raise InvalidParameter("the expected energy overflows a float")
+    return energy

@@ -15,6 +15,7 @@ from energydisc import (
     LabeledDataset,
     NormalizationMode,
     ParseError,
+    MomentSummary,
     ZeroSignal,
     analytic_moments,
     complement,
@@ -373,6 +374,33 @@ def test_empirical_quality_of_rows_near_1e80_ignores_the_unused_variance():
         empirical_quality(clf, LabeledDataset([1], [[2e160, 1e159]]))
 
 
+# finite class moments whose traces, 2e308, are beyond the float range
+_HUGE = ClassSpec(0.5, MomentSummary(np.zeros(2), *[np.diag([1e308, 1e308])] * 2, 0))
+
+
+@pytest.mark.parametrize("mode", list(NormalizationMode))
+def test_energy_report_refuses_a_trace_beyond_the_float_range(mode):
+    with pytest.raises(InvalidParameter, match="class moments overflow"):
+        energy_report(fit(*gaussian_pair(), mode), _HUGE, _HUGE)
+
+
+def test_energy_report_refuses_an_energy_beyond_the_float_range():
+    # tr K is 0, but K U_1 overflows for U_1 = (1, 1) / sqrt 2
+    k = np.array([[1.5e308, 1.5e308], [1.5e308, -1.5e308]])
+    p = projector_from_basis([np.array([1.0, 1.0]) / np.sqrt(2.0)])
+    clf = EnergyClassifier(**_classifier_fields(proj1=p, proj2=complement(p)))
+    split = ClassSpec(0.5, MomentSummary(np.zeros(2), k, k, 0))
+    with pytest.raises(InvalidParameter, match="class moments overflow"):
+        energy_report(clf, split, gaussian_pair()[1])
+
+
+@pytest.mark.parametrize("estimate", [empirical_quality, region_energy])
+def test_sample_functionals_refuse_class_sums_beyond_the_float_range(estimate):
+    data = LabeledDataset([1, 1, 2, 2], [[1e154, 1.1e154], [1.2e154, 1e154], [1, 2], [2, 1]])
+    with pytest.raises(InvalidParameter, match="sample energies overflow"):
+        estimate(fit(*gaussian_pair()), data)
+
+
 def _classifier_fields(**change):
     """The fields of a valid classifier of dim 2, with `change` applied."""
     p = projector_from_basis([np.array([1.0, 0.0])])
@@ -572,6 +600,12 @@ def test_snr_rejects_a_nonfinite_signal(signal):
 def test_snr_rejects_bad_noise_variance(sigma2):
     with pytest.raises(InvalidParameter):
         snr([1.0, 0.0], sigma2)
+
+
+@pytest.mark.parametrize("signal, sigma2", [([1e200, 0.0], 1.0), ([1.0], 1e-320)])
+def test_snr_refuses_a_ratio_beyond_the_float_range(signal, sigma2):
+    with pytest.raises(InvalidParameter, match="overflows a float"):
+        snr(signal, sigma2)
 
 
 # -- sample-based estimates ------------------------------------------------

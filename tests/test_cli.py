@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -20,7 +22,7 @@ from energydisc import (
     unit_normalized,
 )
 from energydisc.cli import run
-from helpers import V1_MODEL, subprocess_env
+from helpers import V1_MODEL, format_model_v2, subprocess_env
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +48,23 @@ def fit_model(capsys, tmp_path, data_path, mode="raw", name="model.txt"):
     )
     assert code == 0, err
     return path
+
+
+def train_model(capsys, tmp_path, mode):
+    """A model fitted in `mode` on 100 ordinary rows of example 1."""
+    train = tmp_path / "train.csv"
+    run_cli(capsys, "gen-example1", "--n", "2", "--m1", "2,0", "--m2", "0,1",
+            "--per-class", "50", "--seed", "1", "--out", str(train))
+    return fit_model(capsys, tmp_path, train, mode)
+
+
+def assert_17g_model(capsys, model_path):
+    """The model file, and the spectrum printed from it, are the bytes %.17g
+    writes for the fields parse_model reads back."""
+    model = load_model(model_path)
+    assert model_path.read_text(encoding="utf-8") == format_model_v2(model)
+    assert run_cli(capsys, "spectrum", "--model", str(model_path)) == (
+        0, "".join("%.17g\n" % v for v in model.spectrum), "")
 
 
 def test_gen_example2_writes_csv(capsys, tmp_path):
@@ -223,11 +242,12 @@ def test_predict_empty_data(capsys, tmp_path):
     assert out == ""
 
 
-def test_predict_header_only_data_of_another_width_exits_2(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_header_only_data_of_another_width_exits_2(capsys, tmp_path, command):
     model_path = fit_model(capsys, tmp_path, gen_data(capsys, tmp_path))
     empty = tmp_path / "empty.csv"
     empty.write_text("label,x1,x2\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "predict", "--model", str(model_path),
+    code, out, err = run_cli(capsys, command, "--model", str(model_path),
                              "--data", str(empty))
     assert code == 2
     assert out == ""
@@ -495,6 +515,7 @@ def test_fit_on_rows_near_1e200(capsys, tmp_path, mode):
     if mode == "unit":
         assert (code, out, err) == (0, f"wrote {model}\n", "")
         assert "trK1=1\ntrK2=1\n" in model.read_text()
+        assert_17g_model(capsys, model)
     else:
         assert (code, out, err) == (
             2, "", "error: class moments overflow the float range; rescale the rows\n")
@@ -510,30 +531,121 @@ def test_fit_refuses_a_correlation_trace_beyond_the_float_range(capsys, tmp_path
                              "--out", str(model))
     if mode == "unit":
         assert (code, out, err) == (0, f"wrote {model}\n", "")
+        assert_17g_model(capsys, model)
     else:
         assert (code, out, err) == (
             2, "", "error: class moments overflow the float range; rescale the rows\n")
         assert not model.exists()
+    # eval with a model of ordinary rows: in raw and centered mode the
+    # class sums of the energies overflow first
+    code, out, err = run_cli(capsys, "eval", "--model", str(train_model(capsys, tmp_path, mode)),
+                             "--data", str(data))
+    if mode == "unit":
+        assert (code, err) == (0, "") and out.endswith("sandwich_ok=true\n")
+    else:
+        what = "class moments" if mode == "trace" else "sample energies"
+        assert (code, out, err) == (
+            2, "", f"error: {what} overflow the float range; rescale the rows\n")
 
 
 @pytest.mark.parametrize("mode", ["raw", "trace", "unit", "centered"])
 def test_predict_decides_rows_at_extreme_scales(capsys, tmp_path, mode):
     # one direction at three scales: both energies of the second row
     # overflow a float, both of the third fall below the normal range
-    train, data, model = tmp_path / "train.csv", tmp_path / "scaled.csv", tmp_path / "model.txt"
-    run_cli(capsys, "gen-example1", "--n", "2", "--m1", "2,0", "--m2", "0,1",
-            "--per-class", "50", "--seed", "1", "--out", str(train))
-    assert run_cli(capsys, "fit", "--data", str(train), "--mode", mode,
-                   "--out", str(model))[0] == 0
+    model, data = train_model(capsys, tmp_path, mode), tmp_path / "scaled.csv"
     data.write_text("label,x1,x2\n1,2,0.1\n1,2e160,1e159\n1,2e-165,1e-166\n")
     code, out, err = run_cli(capsys, "predict", "--model", str(model), "--data", str(data))
     if mode == "unit":  # unit mode keeps its absolute zero-norm threshold
         assert (code, out, err) == (2, "", "error: zero vector at line 4 of the data file "
                                            "cannot be unit-normalized\n")
+        data.write_text("label,x1,x2\n1,2,0.1\n1,2e160,1e159\n")
+        code, out, err = run_cli(capsys, "predict", "--model", str(model), "--data", str(data))
+        assert (code, err, len(set(out.splitlines())), len(out.splitlines())) == (0, "", 1, 2)
     elif mode == "centered":  # not scale-free: x - m_i is scored
         assert (code, len(out.split()), err) == (0, 3, "")
     else:
         assert (code, out, err) == (0, "1\n1\n1\n", "")
+
+
+_FLOW_DATA = {
+    "example2": ["gen-example2", "--n", "16", "--a=" + ",".join(["0.5"] * 16), "--sigma2", "1",
+                 "--per-class", "500", "--seed", "3"],
+    "cov": ["gen-example1", "--n", "3", "--m1", "1,0,0", "--m2", "0,2,0",
+            "--cov", "2,0.5,0;0.5,1,0;0,0,1", "--per-class", "500", "--seed", "5"],
+}
+
+
+def _spelled(text):
+    """CSV bytes with each row that has a leading zero to drop, in turn, ended
+    by CRLF, labeled +1 or 01, or followed by a blank line, at its offset."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines[1:], start=1):
+        at = line.find(b",0.") + 1 or line.find(b",-0.") + 2
+        if at > 1:
+            line = line[:at] + line[at + 1:]
+            lines[i] = (line[:-1] + b"\r\n", b"+" + line, b"0" + line, line + b"\n")[i % 4]
+    return b"".join(lines)
+
+
+@pytest.mark.parametrize("source", sorted(_FLOW_DATA))
+@pytest.mark.parametrize("mode", ["raw", "trace", "unit", "centered"])
+def test_a_multi_block_flow_writes_17g_models_and_reads_any_spelling(capsys, tmp_path,
+                                                                    monkeypatch, source, mode):
+    data, spelled = tmp_path / "data.csv", tmp_path / "spelled.csv"
+    assert run_cli(capsys, *_FLOW_DATA[source], "--out", str(data))[0] == 0
+    spelled.write_bytes(_spelled(data.read_bytes()))
+    text, rows = spelled.read_bytes(), len(load_csv(data))
+    assert len(text) == data.stat().st_size
+    assert min(text.count(s) for s in (b"\r\n", b"\n\n", b"\n+", b"\n0")) > rows // 10
+    monkeypatch.setattr(datasets, "_READ_BYTES", 1 << 12)
+    assert len(list(datasets._line_blocks(data))) > 10
+    model = fit_model(capsys, tmp_path, data, mode)
+    assert_17g_model(capsys, model)
+    assert fit_model(capsys, tmp_path, spelled, mode, "again.txt").read_bytes() == \
+        model.read_bytes()
+    for command, lines in (("predict", rows), ("eval", 14)):
+        canonical, other = (run_cli(capsys, command, "--model", str(model), "--data", str(path))
+                            for path in (data, spelled))
+        assert canonical == other
+        assert (canonical[0], len(canonical[1].splitlines()), canonical[2]) == (0, lines, "")
+
+
+# Runs each command of the JSON list in argv[1] with 4 KiB read blocks.
+_CHAIN_CHILD = """
+import contextlib, json, os, sys
+from energydisc import cli, datasets
+datasets._READ_BYTES = 1 << 12
+with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+    for argv in json.loads(sys.argv[1]):
+        assert cli.run(argv) == 0, argv
+"""
+
+
+def test_the_cli_chain_is_quiet_in_dev_mode_with_warnings_as_errors(tmp_path):
+    # any warning, an unclosed file among them, is an error printed to stderr
+    data, model = str(tmp_path / "data.csv"), str(tmp_path / "model.txt")
+    chain = []
+    for gen in _FLOW_DATA.values():
+        chain.append([*gen, "--out", data])
+        for mode in ("raw", "trace", "unit", "centered"):
+            chain += [["fit", "--data", data, "--mode", mode, "--out", model],
+                      ["predict", "--model", model, "--data", data],
+                      ["eval", "--model", model, "--data", data], ["spectrum", "--model", model]]
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", _CHAIN_CHILD,
+                           json.dumps(chain)], capture_output=True, text=True, env=subprocess_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("sigma2", ["1e-12", "1", "1e40"])
+def test_gen_example2_writes_the_17g_bytes_of_the_values_read_back(capsys, tmp_path, sigma2):
+    # entries from 1e-21 to 3e50, written by the exact kernel and by %
+    path = tmp_path / "g17.csv"
+    assert run_cli(capsys, "gen-example2", "--n", "4", "--a=1e-9,-3e30,0,5", "--sigma2", sigma2,
+                   "--per-class", "3000", "--seed", "9", "--out", str(path))[0] == 0
+    data = load_csv(path)
+    rows = ("%d," % label + ",".join("%.17g" % v for v in row) + "\n"
+            for label, row in zip(data.labels.tolist(), data.features.tolist()))
+    assert path.read_text(encoding="utf-8") == "label,x1,x2,x3,x4\n" + "".join(rows)
 
 
 @pytest.mark.parametrize("argv", [
@@ -591,6 +703,20 @@ def test_predict_on_nonfinite_data_exits_2(capsys, tmp_path, value):
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
+
+
+def test_every_workflow_run_block_parses_and_names_paths_that_exist():
+    yaml = pytest.importorskip("yaml")
+    root = Path(__file__).resolve().parents[1]
+    workflow = yaml.safe_load((root / ".github/workflows/tests.yml").read_text(encoding="utf-8"))
+    blocks = [step["run"] for step in workflow["jobs"]["tests"]["steps"] if "run" in step]
+    assert len(blocks) == 5
+    for block in blocks:
+        script = re.sub(r"\$\{\{[^}]*\}\}", "x", block)  # the runner fills these in
+        proc = subprocess.run(["bash", "-n"], input=script, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, ""), block
+        paths = re.findall(r"(?<![\w$./-])(?:[\w.-]+/)+[\w.-]+|(?<=PYTHONPATH=)[\w.-]+", script)
+        assert all((root / path).exists() for path in paths), (paths, block)
 
 
 def test_console_script_installed(tmp_path):

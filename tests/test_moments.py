@@ -123,6 +123,11 @@ def test_expected_quadratic_matches_sample_average():
         assert abs(expected_quadratic(a, k) - direct) <= 1e-10 * (1.0 + abs(direct))
 
 
+def test_expected_quadratic_refuses_an_energy_beyond_the_float_range():
+    with pytest.raises(InvalidParameter, match="overflows a float"):
+        expected_quadratic([[1e200, 0.0], [0.0, 1.0]], [[1e200, 0.0], [0.0, 1.0]])
+
+
 def test_expected_quadratic_shape_check():
     with pytest.raises(DimensionMismatch):
         expected_quadratic(np.eye(2), np.eye(3))
