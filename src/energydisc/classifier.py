@@ -241,16 +241,20 @@ def _labels(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
 _TINY = np.finfo(float).tiny
 
 
-def _scores(clf: EnergyClassifier, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g_1, g_2, labels) for a batch of row vectors.
+def discriminants(clf: EnergyClassifier, x: np.ndarray, *, _decide: bool = False):
+    """Discriminant pair (g_1, g_2) for a batch of row vectors.
 
     A row whose pair is not finite, or whose energies both fall below the
     normal range while the row is not zero, is scored again after scaling
     by 2^-e, e being the exponent of its largest |entry| (in centered mode,
     of both differences x - m_i). The scaling is exact, so that row's pair
-    is the scaled pair times 2^2e, inf if beyond the float range, and its
-    label is decided from the scaled pair. Every other row keeps the plain
+    is the scaled pair times 2^2e; an energy beyond the float range is an
+    InvalidParameter naming the row. Every other row keeps the plain
     arithmetic.
+
+    `decide_batch` and the sample sums pass `_decide`: the call then also
+    returns the decisions, those of the rows scored again taken from the
+    scaled pair, and lets an energy beyond the float range through as inf.
     """
     x = np.atleast_2d(_vectors(x))
     if x.ndim != 2:
@@ -264,7 +268,7 @@ def _scores(clf: EnergyClassifier, x) -> tuple[np.ndarray, np.ndarray, np.ndarra
     if clf.mode is NormalizationMode.UNIT:
         x = _unit_rows(x)
     g1, g2 = _pair(clf, x, x, centered)
-    labels = _labels(g1, g2)
+    labels = _labels(g1, g2) if _decide else None
     top = np.maximum(g1, g2)  # nan if either is
     rows = np.flatnonzero(~((top >= _TINY) & (top < np.inf)))
     if rows.size:
@@ -282,16 +286,11 @@ def _scores(clf: EnergyClassifier, x) -> tuple[np.ndarray, np.ndarray, np.ndarra
                                    "of the scoring")
         with np.errstate(over="ignore"):
             g1[rows], g2[rows] = np.ldexp(s1, 2 * e[:, 0]), np.ldexp(s2, 2 * e[:, 0])
-        labels[rows] = _labels(s1, s2)
-    return g1, g2, labels
-
-
-def discriminants(clf: EnergyClassifier, x):
-    """Discriminant pair (g_1, g_2) for a batch of row vectors, each row
-    scored at any scale as `_scores` does; an energy beyond the float range
-    is an InvalidParameter naming the row."""
-    g1, g2, _ = _scores(clf, x)
-    over = np.flatnonzero(~(np.isfinite(g1) & np.isfinite(g2)))
+        if _decide:
+            labels[rows] = _labels(s1, s2)
+    if _decide:
+        return g1, g2, labels
+    over = rows[~(np.isfinite(g1[rows]) & np.isfinite(g2[rows]))]
     if over.size:
         raise InvalidParameter(f"the energy of row {over[0] + 1} overflows a float")
     return g1, g2
@@ -309,8 +308,8 @@ def decide(clf: EnergyClassifier, x) -> int:
 def decide_batch(clf: EnergyClassifier, x) -> np.ndarray:
     """Vectorized decision rule; ties go to class 2. A row whose energies
     lie beyond the float range is decided by its pair scaled by a power
-    of two (see `_scores`)."""
-    return _scores(clf, x)[2]
+    of two (see `discriminants`)."""
+    return discriminants(clf, x, _decide=True)[2]
 
 
 def energy_report(clf: EnergyClassifier, class1: ClassSpec, class2: ClassSpec) -> EnergyReport:
@@ -375,7 +374,7 @@ class _SampleSums:
         self.m2 = [0.0, 0.0]
 
     def add(self, labels: np.ndarray, features: np.ndarray) -> None:
-        g1, g2, decided = _scores(self.clf, features)
+        g1, g2, decided = discriminants(self.clf, features, _decide=True)
         if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
             raise InvalidParameter(_SAMPLE_OVERFLOW)
         hits = decided == labels
@@ -474,7 +473,7 @@ def region_energy(
 
 def snr(a, sigma2: float, n: int | None = None) -> float:
     """Signal-to-noise ratio ||a||^2 / (n * sigma^2) of a signal in white noise;
-    InvalidParameter if ||a||^2 or the ratio is beyond the float range."""
+    InvalidParameter if the ratio is beyond the float range."""
     a = _vectors(a)
     _check_signal_in_noise(a, sigma2)
     if a.ndim != 1:
@@ -483,8 +482,12 @@ def snr(a, sigma2: float, n: int | None = None) -> float:
         n = a.shape[0]
     if not n >= 1:  # NaN fails the comparison
         raise InvalidParameter("dimension must be at least 1")
+    # a and sigma^2 scaled by powers of two, which is exact, so that a ratio
+    # in the float range never passes through an overflow of ||a||^2 or n sigma^2
+    a, e = _pow2_scaled(a, np.abs(a).max(initial=0.0))
+    m, f = np.frexp(sigma2)
     with np.errstate(over="ignore"):
-        ratio = float(a @ a) / (n * sigma2)
+        ratio = float(np.ldexp(float(a @ a) / (n * m), 2 * e - f))
     if not np.isfinite(ratio):
         raise InvalidParameter("the signal-to-noise ratio overflows a float")
     return ratio

@@ -574,6 +574,9 @@ def test_snr_values_and_errors():
     assert snr([2.0, 0.0], 1.0) == pytest.approx(2.0)
     assert snr([1.0, 1.0, 1.0, 1.0], 0.5) == pytest.approx(2.0)
     assert snr([2.0, 0.0], 1.0, n=4) == pytest.approx(1.0)
+    # ||a||^2 = 1e400 and n sigma^2 = 1e309 overflow; their ratios do not
+    assert snr([1e200, 0.0], 1e100) == snr([np.ldexp(1e200, -600), 0.0], np.ldexp(1e100, -1200))
+    assert snr([1e200, 0.0], 1e100) == pytest.approx(5e299, rel=1e-15)
     with pytest.raises(InvalidParameter):
         snr([1.0], 0.0)
 
@@ -606,6 +609,7 @@ def test_snr_rejects_bad_noise_variance(sigma2):
 def test_snr_refuses_a_ratio_beyond_the_float_range(signal, sigma2):
     with pytest.raises(InvalidParameter, match="overflows a float"):
         snr(signal, sigma2)
+
 
 
 # -- sample-based estimates ------------------------------------------------
