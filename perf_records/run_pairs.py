@@ -15,13 +15,18 @@ side's BENCH_*.json is copied, unedited, to
 perf_records/<change>/parent-<sha>/ or perf_records/<change>/change/.
 At the end, for each end-to-end metric of BENCHMARK.json, the script
 prints each side's median and quartiles and the number of pairs the
-change won (ties count for neither side). Standard library only.
+change won (ties count for neither side). Each run's minor page faults
+(the `ru_minflt` of RUSAGE_CHILDREN before and after it) per op it
+attempted are printed for each pair, and each side's median at the end:
+unlike op times, they do not drift with the host's core speed. Standard
+library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import shutil
 import statistics
 import subprocess
@@ -58,6 +63,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Path:
     return checkout / ".perfbench_out" / f"BENCH_{workload}_seed{seed}_trace0.json"
 
 
+def child_faults() -> int:
+    """Minor page faults of this process's finished children so far."""
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+
+
+def faults_per_op(faults: int, record: dict) -> float:
+    """A run's minor page faults per op its BENCH record says it attempted."""
+    return faults / max(1, record["attempted"])
+
+
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -81,6 +96,13 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     return lines
 
 
+def summarize_faults(faults: list[tuple[float, float]]) -> str:
+    """Each side's median of the (parent, change) minor faults per op."""
+    parent, change = (statistics.median(side) for side in zip(*faults))
+    return (f"{'minflt/op':<12} parent {parent:.6g}  change {change:.6g}  "
+            f"{(change - parent) / parent:+.1%}")
+
+
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -101,20 +123,24 @@ def main(argv=None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="run_pairs-"))
     worktree = scratch / "parent"
     checkouts = {"parent": worktree, "change": ROOT}
-    pairs = []
+    pairs, faults = [], []
     try:
         _git("worktree", "add", "--detach", str(worktree), sha)
         for number, seed in enumerate(args.seeds, start=1):
             order = ("parent", "change") if number % 2 else ("change", "parent")
-            records = {}
+            records, minflt = {}, {}
             for side in order:
+                before = child_faults()
                 bench_file = run_once(checkouts[side], args.workload, seed, seconds)
                 records[side] = json.loads(bench_file.read_text())
+                minflt[side] = faults_per_op(child_faults() - before, records[side])
                 shutil.copy2(bench_file, sides[side] / bench_file.name)
             pairs.append((records["parent"], records["change"]))
+            faults.append((minflt["parent"], minflt["change"]))
             ops = {side: records[side]["end_to_end"]["op_ms_p50"][0] for side in order}
             print(f"pair {number}/{len(args.seeds)} seed {seed} ({order[0]} first): "
-                  f"op_ms_p50 parent {ops['parent']:.6g}, change {ops['change']:.6g}",
+                  f"op_ms_p50 parent {ops['parent']:.6g}, change {ops['change']:.6g}; "
+                  f"minflt/op parent {minflt['parent']:.6g}, change {minflt['change']:.6g}",
                   flush=True)
     finally:
         if worktree.exists():
@@ -124,6 +150,8 @@ def main(argv=None) -> int:
           "median [q1, q3]")
     for line in summarize(pairs, bench["end_to_end"]):
         print(line)
+    if faults:
+        print(summarize_faults(faults))
     return 0
 
 

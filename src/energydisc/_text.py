@@ -15,6 +15,12 @@ and D < 10^17, %.17g writes D in fixed notation with the point after
 digit k and trailing zeros dropped, as the kernel does. Any other value
 (±0, a subnormal, one outside that range, or one whose estimate of k was
 off) it writes by ``%`` too.
+
+The kernel writes a block into the buffers of a `_Workspace` that its
+caller makes once for all the blocks of a call or file, so a block
+allocates and frees nothing: temporaries freed at the top of the heap
+below the mmap threshold would be trimmed and faulted back in for the
+next block. No workspace lives at module level or outlives its call.
 """
 
 from __future__ import annotations
@@ -38,6 +44,14 @@ _FLOAT_FMT = "%.17g"
 # half out, and 4.8 ms against 2.9 ms with all out.
 _KERNEL_VALUES = 230
 
+# Floats are written in blocks of about this many values, each through one
+# workspace its caller made for all of them. The temporaries of a block
+# (about 1 MB) lie at the top of the heap and below a 256 KiB mmap
+# threshold, so if a block freed them, glibc would trim them (its trim
+# threshold is then 128 KiB) and the next block would fault them back in,
+# about 285 minor faults a block; the reused workspace never frees them.
+_WRITE_FLOATS = 1 << 12
+
 
 def _parse_floats(text: str) -> np.ndarray:
     """Comma-separated floats as a 1-d array; ValueError names a bad entry."""
@@ -60,20 +74,34 @@ def _utf8_text(data: bytes | memoryview, first: int) -> str:
 def _format_floats(values) -> str:
     """The finite floats `values` as text, each as `_FLOAT_FMT % v` writes
     it: a 2-d array as lines, each row's values joined by ',' and ended by
-    '\\n'; any other shape as its values in order, joined by ','."""
+    '\\n'; any other shape as its values in order, joined by ','. Written in
+    blocks of about _WRITE_FLOATS values through one call-local workspace."""
     values = np.asarray(values, dtype=float)
     rows = values if values.ndim == 2 else values.reshape(1, -1)
-    text = _kernel_text(rows) if _takes_kernel(rows) else _joined_rows(rows)
-    return text if values.ndim == 2 else text[:-1]
+    if rows.size < _KERNEL_VALUES:
+        text = _joined_rows(rows)
+        return text if values.ndim == 2 else text[:-1]
+    if values.ndim == 2:
+        step = max(1, _WRITE_FLOATS // rows.shape[1])
+        blocks = [rows[start:start + step] for start in range(0, len(rows), step)]
+    else:
+        # one-row blocks, whose lines are joined by ',' below
+        blocks = [rows[:, start:start + _WRITE_FLOATS]
+                  for start in range(0, rows.size, _WRITE_FLOATS)]
+    ws = _Workspace(blocks[0].size)  # the first block is the largest
+    texts = [_rows_text(block, ws) for block in blocks]
+    text = b"".join(texts) if values.ndim == 2 else b",".join(text[:-1] for text in texts)
+    return text.decode("ascii")
 
 
-def _takes_kernel(values: np.ndarray) -> bool:
-    """Whether the kernel writes `values` faster than `%`: from _KERNEL_VALUES
-    values on, unless more than half of them lie outside [1e-4, 1e17)."""
-    if values.size < _KERNEL_VALUES:
-        return False
-    ax = np.abs(values)
-    return 2 * np.count_nonzero((ax >= 1e-4) & (ax < 1e17)) >= values.size
+def _rows_text(rows: np.ndarray, ws: _Workspace) -> bytes | bytearray:
+    """The rows of the 2-d `rows` as `_format_floats` writes them, in ASCII,
+    by the kernel through `ws` if it takes them faster than `%`: from
+    _KERNEL_VALUES values on, unless more than half of them lie outside
+    [1e-4, 1e17)."""
+    if rows.size >= _KERNEL_VALUES and 2 * np.count_nonzero(_in_range(rows, ws)) >= rows.size:
+        return _kernel_text(rows, ws)
+    return _joined_rows(rows).encode("ascii")
 
 
 def _join(values: list, sep: str) -> str:
@@ -86,11 +114,12 @@ def _joined_rows(rows: np.ndarray) -> str:
     return "".join(_join(row, ",") + "\n" for row in rows.tolist())
 
 
-def _veltkamp_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split a = hi + lo, each half holding at most 26 bits."""
-    c = a * (2.0 ** 27 + 1)
-    hi = c - (c - a)
-    return hi, a - hi
+def _veltkamp_split(a: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
+    """Veltkamp's split a = hi + lo into `hi` and `lo`, each half holding at most 26 bits."""
+    np.multiply(a, 2.0 ** 27 + 1, out=hi)  # c
+    np.subtract(hi, a, out=lo)  # c - a
+    np.subtract(hi, lo, out=hi)
+    np.subtract(a, hi, out=lo)
 
 
 # A field of a row is _FIELD bytes: a sign at byte 0, "0." at bytes 1-2,
@@ -132,58 +161,127 @@ def _kernel_tables() -> tuple:
         rows = np.broadcast_to(field, (21, 17, 2, _FIELD)).reshape(-1, _FIELD)
         return np.ascontiguousarray(rows, dtype=np.uint8).view(f"V{_FIELD}").ravel()
 
+    pow10_hi, pow10_lo = np.empty(21), np.empty(21)
+    _veltkamp_split(pow10, pow10_hi, pow10_lo)
     return (
-        pow10, *_veltkamp_split(pow10), digits4.astype(np.uint8).view(np.uint32).ravel(),
+        pow10, pow10_hi, pow10_lo, digits4.astype(np.uint8).view(np.uint32).ravel(),
         zeros4, table(sa), table(sb), table(c))
 
 
-def _kernel_text(values: np.ndarray) -> str:
-    """The rows of the finite 2-d `values` as `_format_floats` writes them."""
+class _Workspace:
+    """The buffers the kernel writes a block of up to `size` values into,
+    made once by the caller and reused for every block, so a block
+    allocates and frees nothing but its text: `values` for the caller's own
+    copy of a block, float and int64 vectors, masks, the digit words, the
+    two shift tables' fields and the text's fields, which live in the
+    bytearray `text`."""
+
+    def __init__(self, size: int):
+        self.values = np.empty(size)
+        self.floats = np.empty((6, size))
+        self.ints = np.empty((8, size), np.int64)
+        self.masks = np.empty((3, size), bool)
+        self.words = np.empty((size, _FIELD // 4), np.uint32)
+        self.word = np.empty(size, np.uint32)
+        self.fields = np.empty((2, size), f"V{_FIELD}")
+        self.text = bytearray(size * _FIELD)
+        self.text_fields = np.frombuffer(self.text, f"V{_FIELD}")
+
+
+def _in_range(rows: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """The mask of the values of `rows` with 1e-4 <= |x| < 1e17, as
+    `ws.masks[0]`, their absolute values left in `ws.floats[0]`."""
+    size = rows.size
+    ax, fast, tmp = ws.floats[0, :size], ws.masks[0, :size], ws.masks[1, :size]
+    np.abs(rows.reshape(-1), out=ax)
+    np.greater_equal(ax, 1e-4, out=fast)
+    np.less(ax, 1e17, out=tmp)
+    fast &= tmp
+    return fast
+
+
+def _kernel_text(values: np.ndarray, ws: _Workspace) -> bytearray:
+    """The rows of the finite 2-d `values` as `_format_floats` writes them,
+    in ASCII, every step written into the buffers of `ws`."""
     rows, n = values.shape
+    size = values.size
+    x = values.reshape(-1)
     pow10, pow10_hi, pow10_lo, digits4, zeros4, sa_table, sb_table, c_table = _kernel_tables()
-    ax = np.abs(values)
-    fast = (ax >= 1e-4) & (ax < 1e17)
-    ax[~fast] = 1.0
+    ax, t, scale_hi, scale_lo, ax_hi, ax_lo = ws.floats[:, :size]
+    k, j, top, low, head, lead, g3, last = ws.ints[:, :size]
+    fast, mask, tmp = _in_range(values, ws), ws.masks[1, :size], ws.masks[2, :size]
+    np.logical_not(fast, out=mask)
+    np.copyto(ax, 1.0, where=mask)
     # log10 may be off by one near a power of ten; the range check below
     # then sends the value to the fallback
-    k = np.clip(np.floor(np.log10(ax)).astype(np.intp), -4, 16)
-    j = 16 - k
-    scale, scale_hi, scale_lo = pow10[j], pow10_hi[j], pow10_lo[j]
-    ax_hi, ax_lo = _veltkamp_split(ax)
-    p = ax * scale
-    e = ((ax_hi * scale_hi - p) + ax_hi * scale_lo + ax_lo * scale_hi) + ax_lo * scale_lo
+    np.log10(ax, out=t)
+    np.floor(t, out=t)
+    np.copyto(k, t, casting="unsafe")
+    np.clip(k, -4, 16, out=k)
+    np.subtract(16, k, out=j)
+    scale = t
+    for table, out in ((pow10, scale), (pow10_hi, scale_hi), (pow10_lo, scale_lo)):
+        np.take(table, j, out=out, mode="clip")
+    _veltkamp_split(ax, ax_hi, ax_lo)
+    p = np.multiply(ax, scale, out=ax)
+    # e = ((ax_hi * scale_hi - p) + ax_hi * scale_lo + ax_lo * scale_hi) + ax_lo * scale_lo
+    e = np.multiply(ax_hi, scale_hi, out=t)
+    e -= p
+    e += np.multiply(ax_hi, scale_lo, out=ax_hi)
+    e += np.multiply(ax_lo, scale_hi, out=scale_hi)
+    e += np.multiply(ax_lo, scale_lo, out=scale_lo)
     # p >= 10^16 > 2^53 is an even integer, so rounding e alone to even rounds p + e
-    d = p.astype(np.int64) + np.rint(e).astype(np.int64)
-    fast &= ((p > 1e16) | ((p == 1e16) & (e >= 0))) & (d < 10 ** 17)
-    top = d // 10 ** 8
-    low = d - top * 10 ** 8
-    head = top // 10 ** 4
-    lead = head // 10 ** 4
-    g3 = low // 10 ** 4
-    groups = (head - lead * 10 ** 4, top - head * 10 ** 4, g3, low - g3 * 10 ** 4)
-    words = np.empty((rows, n, _FIELD // 4), np.uint32)
-    words[:, :, 1] = digits4[lead]  # "000" and the leading digit
-    last = np.zeros(d.shape, np.intp)  # the leading digit is never 0
-    for i, group in enumerate(groups, start=1):
-        words[:, :, i + 1] = digits4[group]
-        last = np.where(group != 0, 4 * i - zeros4[group], last)
-    codes = ((k + 4) * 17 + last) * 2 + (values < 0)
-    word = words.view(np.uint8).ravel()
-    sa = np.take(sa_table, codes).view(np.uint8).ravel()
-    sb = np.take(sb_table, codes).view(np.uint8).ravel()
-    out = np.take(c_table, codes).view(np.uint8).reshape(rows, n, _FIELD)
-    out[:, -1, -1] = ord("\n")
-    text = out.ravel()
+    d = j
+    np.copyto(d, p, casting="unsafe")
+    np.copyto(top, np.rint(e, out=scale_hi), casting="unsafe")
+    d += top
+    # fast &= ((p > 1e16) | ((p == 1e16) & (e >= 0))) & (d < 10 ** 17)
+    np.equal(p, 1e16, out=mask)
+    mask &= np.greater_equal(e, 0, out=tmp)
+    mask |= np.greater(p, 1e16, out=tmp)
+    mask &= np.less(d, 10 ** 17, out=tmp)
+    fast &= mask
+    np.floor_divide(d, 10 ** 8, out=top)
+    np.subtract(d, np.multiply(top, 10 ** 8, out=low), out=low)
+    np.floor_divide(top, 10 ** 4, out=head)
+    np.floor_divide(head, 10 ** 4, out=lead)
+    np.floor_divide(low, 10 ** 4, out=g3)
+    g1 = np.subtract(head, np.multiply(lead, 10 ** 4, out=d), out=d)
+    g2 = np.subtract(top, np.multiply(head, 10 ** 4, out=head), out=top)
+    g4 = np.subtract(low, np.multiply(g3, 10 ** 4, out=head), out=low)
+    words, word, zeros = ws.words[:size], ws.word[:size], head
+    words[:, 1] = np.take(digits4, lead, out=word, mode="clip")  # "000" and the leading digit
+    last.fill(0)  # the leading digit is never 0
+    for i, group in enumerate((g1, g2, g3, g4), start=1):
+        words[:, i + 1] = np.take(digits4, group, out=word, mode="clip")
+        # last = where(group != 0, 4 * i - zeros4[group], last)
+        np.subtract(4 * i, np.take(zeros4, group, out=zeros, mode="clip"), out=zeros)
+        np.copyto(last, zeros, where=np.not_equal(group, 0, out=mask))
+    # codes = ((k + 4) * 17 + last) * 2 + (values < 0)
+    codes = k
+    codes += 4
+    codes *= 17
+    codes += last
+    codes *= 2
+    codes += np.less(x, 0, out=mask)
+    sa, sb, out = *ws.fields[:, :size], ws.text_fields[:size]
+    for table, field in ((sa_table, sa), (sb_table, sb), (c_table, out)):
+        np.take(table, codes, out=field, mode="clip")
+    # the bytes past this block's, left by a longer one, are dropped as padding
+    ws.text_fields[size:].view(np.uint8)[:] = 0
+    word, sa, sb, text = (a.view(np.uint8).reshape(-1) for a in (words, sa, sb, out))
+    text.reshape(rows, n, _FIELD)[:, -1, -1] = ord("\n")
     sa *= word
     text += sa
     sb[1:] *= word[:-1]
     text += sb
-    other = np.nonzero(~fast)
-    if other[0].size:
+    np.logical_not(fast, out=mask)
+    if mask.any():
         # one % call for all of them, each text written over its field but
         # the separator, NUL-padded (the longest, "-2.2250738585072014e-308",
         # takes 24 bytes); the padding is dropped below
-        texts = _join(values[other].tolist(), "\0").split("\0")
+        other = np.flatnonzero(mask)
+        texts = _join(x[other].tolist(), "\0").split("\0")
         texts = np.array(texts, dtype=f"S{_FIELD - 1}").view(np.uint8)
-        out[other[0], other[1], :-1] = texts.reshape(-1, _FIELD - 1)
-    return text[text != 0].tobytes().decode("ascii")
+        text.reshape(size, _FIELD)[other, :-1] = texts.reshape(-1, _FIELD - 1)
+    return ws.text.translate(None, b"\0")

@@ -8,7 +8,7 @@ signal in white noise versus the noise alone.
 
 CSV layout: UTF-8, '\\n' newlines, mandatory header ``label,x1,...,xn``,
 one sample per row, labels in {1,2}, finite floats written by
-`_text._format_floats`, so values survive a round trip exactly. Files
+`_text`'s float writer, so values survive a round trip exactly. Files
 are read once, in blocks of bounded size, so neither the text of a file
 nor its values as Python floats are ever held whole, and a pipe reads as
 a file does. Each block is read into one reused buffer, the rest of its
@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ._text import _format_floats, _utf8_text
+from ._text import _WRITE_FLOATS, _Workspace, _rows_text, _utf8_text
 from .errors import (DimensionMismatch, EnergydiscError, InvalidParameter, LabelError,
                      ParseError, ZeroSignal)
 from .moments import _check_psd
@@ -235,15 +235,16 @@ def unit_normalized(data: LabeledDataset) -> LabeledDataset:
     return LabeledDataset(data.labels, _unit_rows(data.features))
 
 
-# A CSV file is read in blocks of about this many bytes and written in
-# blocks of about this many floats, so memory does not grow with the rows.
-# At 2^12 floats every temporary of the float writer stays below 256 KiB,
-# so that under a glibc mmap threshold of that size none is mapped anew
-# per block. A read block is decoded in pieces of about _DECODE_BYTES for
-# the same reason: a whole block's text would take a fresh 1 MiB mapping,
-# and 256 page faults, per block.
+# A CSV file is read in blocks of about _READ_BYTES and written in blocks
+# of about _WRITE_FLOATS floats (from `_text`), so memory does not grow
+# with the rows. Blocks freed below a glibc mmap threshold of 256 KiB at
+# the top of the heap are trimmed and faulted back in for the next block
+# (the trim threshold is then 128 KiB), so each side reuses its buffers:
+# the reader one bytearray, the writer one `_text._Workspace` per file,
+# which also holds each block's labels and features. A read block is
+# decoded in pieces of about _DECODE_BYTES, because a whole block's text
+# would take a fresh 1 MiB mapping, and 256 page faults, per block.
 _READ_BYTES = 1 << 20
-_WRITE_FLOATS = 1 << 12
 _DECODE_BYTES = 1 << 16
 
 
@@ -266,17 +267,20 @@ def save_csv(data, path) -> None:
     if n < 1:
         raise DimensionMismatch("CSV rows need at least one feature")
     step = max(1, _WRITE_FLOATS // n)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    ws = _Workspace(step * (n + 1))
+    with open(path, "wb") as fh:
         try:
-            fh.write("label," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
+            fh.write(("label," + ",".join(f"x{i + 1}" for i in range(n)) + "\n").encode())
             for block in itertools.chain([first], blocks):
                 if block.dim != n:
                     raise DimensionMismatch(f"block of width {block.dim} after width {n}")
                 for start in range(0, len(block), step):
-                    part = slice(start, start + step)
+                    features = block.features[start:start + step]
+                    rows = ws.values[:features.size + len(features)].reshape(-1, n + 1)
                     # the labels go as a first float column: 1.0 and 2.0 are written 1 and 2
-                    fh.write(_format_floats(np.column_stack(
-                        (block.labels[part], block.features[part]))))
+                    rows[:, 0] = block.labels[start:start + step]
+                    rows[:, 1:] = features
+                    fh.write(_rows_text(rows, ws))
         except BaseException:
             # load_csv refuses an empty file; a pipe or device keeps what it took
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):

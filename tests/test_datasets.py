@@ -335,7 +335,7 @@ def _float_mismatches(values, *, one_by_one: bool = False) -> list:
     column = np.array(values)[:, None]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_text, "_KERNEL_VALUES", 1)
-        shapes = [_text._kernel_text(column).splitlines(),
+        shapes = [_text._kernel_text(column, _text._Workspace(column.size)).decode().splitlines(),
                   _text._format_floats(column).splitlines(),
                   _text._format_floats(values).split(",")]
         if one_by_one:
@@ -377,9 +377,9 @@ def test_format_floats_runs_the_kernel_from_the_crossover_on(monkeypatch):
     sizes = []
     kernel = _text._kernel_text
 
-    def counted(rows):
+    def counted(rows, ws):
         sizes.append(rows.size)
-        return kernel(rows)
+        return kernel(rows, ws)
 
     monkeypatch.setattr(_text, "_kernel_text", counted)
     at = _text._KERNEL_VALUES
@@ -398,9 +398,9 @@ def test_format_floats_writes_a_block_mostly_out_of_range_by_percent(monkeypatch
     calls = []
     kernel = _text._kernel_text
 
-    def counted(rows):
+    def counted(rows, ws):
         calls.append(rows.size)
-        return kernel(rows)
+        return kernel(rows, ws)
 
     monkeypatch.setattr(_text, "_kernel_text", counted)
     values = np.full((10, 30), 0.5)
@@ -412,6 +412,49 @@ def test_format_floats_writes_a_block_mostly_out_of_range_by_percent(monkeypatch
                        for row in values.tolist())
         assert _text._format_floats(values) == want
         assert calls == used
+
+
+def _percent_rows(rows) -> str:
+    return "".join(",".join(_text._FLOAT_FMT % v for v in row) + "\n" for row in rows.tolist())
+
+
+def _edge_rows(width: int) -> np.ndarray:
+    """Rows of width `width` of ±0, subnormals, 1e300 and values at and next
+    to powers of ten, which the kernel writes by `%` or near its range check."""
+    powers = np.array([float(f"1e{j}") for j in range(-6, 19)])
+    edges = np.concatenate([[0.0, 5e-324, 2.2250738585072014e-308, 1e300], powers,
+                            np.nextafter(powers, np.inf), np.nextafter(powers, 0.0)])
+    edges = np.concatenate([edges, -edges])
+    return np.resize(edges, (-(-edges.size // width), width))
+
+
+def test_one_workspace_writes_each_block_afresh():
+    # a full block, a shorter last one, a narrower one, one mostly outside
+    # [1e-4, 1e17) and one of edge values: no byte of a longer block may leak
+    rng = np.random.default_rng(27)
+    blocks = [rng.standard_normal((64, 65)) * 1e3, rng.standard_normal((9, 65)),
+              rng.standard_normal((40, 7)), 10.0 ** rng.uniform(-300, 300, (30, 65)),
+              _edge_rows(65), _edge_rows(3)]
+    ws = _text._Workspace(64 * 65)
+    for rows in blocks:
+        want = _percent_rows(rows)
+        assert _text._kernel_text(rows, ws).decode() == want
+        assert _text._rows_text(rows, ws).decode() == want
+
+
+@pytest.mark.parametrize("write_floats", [300, 1000])
+def test_save_csv_writes_each_block_afresh_through_one_workspace(monkeypatch, tmp_path,
+                                                                 write_floats):
+    rng = np.random.default_rng(28)
+    features = [rng.standard_normal((100, 7)), rng.standard_normal((5, 7)),
+                10.0 ** rng.uniform(-300, 300, (50, 7)), _edge_rows(7)]
+    blocks = [(np.resize([1, 2], len(x)), x) for x in features]
+    monkeypatch.setattr(datasets, "_WRITE_FLOATS", write_floats)
+    monkeypatch.setattr(_text, "_KERNEL_VALUES", 1)  # the kernel takes even the shortest block
+    save_csv(blocks, tmp_path / "blocks.csv")
+    rows = np.concatenate([np.column_stack(block) for block in blocks])
+    header = "label," + ",".join(f"x{i + 1}" for i in range(7)) + "\n"
+    assert (tmp_path / "blocks.csv").read_text() == header + _percent_rows(rows)
 
 
 def test_csv_empty_dataset_round_trip(tmp_path):

@@ -98,13 +98,26 @@ def test_a_model_that_saves_also_loads(clf, field, data):
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
 def test_csv_rows_write_every_finite_float_as_float_fmt_does(values):
     texts = [_text._FLOAT_FMT % v for v in values]
-    assert _text._kernel_text(np.array([[2.0, *values]])) == ",".join(["2", *texts]) + "\n"
+    row = np.array([[2.0, *values]])
+    text = _text._kernel_text(row, _text._Workspace(row.size)).decode()
+    assert text == ",".join(["2", *texts]) + "\n"
     # the kernel takes the inputs it is chosen for, as it takes CSV blocks, whatever the count
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_text, "_KERNEL_VALUES", 1)
         assert _text._format_floats([[2.0, *values]]) == ",".join(["2", *texts]) + "\n"
         assert _text._format_floats(values) == ",".join(texts)
         assert [_text._format_floats(v) for v in values] == texts
+
+
+@PROPERTY
+@given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                         max_size=40), min_size=1, max_size=4))
+def test_one_workspace_writes_blocks_of_any_length_as_float_fmt_does(blocks):
+    ws = _text._Workspace(41)
+    for values in blocks:
+        row = np.array([[2.0, *values]])
+        want = ",".join(["2", *(_text._FLOAT_FMT % v for v in values)]) + "\n"
+        assert _text._kernel_text(row, ws).decode() == want
 
 
 # multiples of 2^-10 up to 2^10: no entry of 2^k x is subnormal for k >= -900

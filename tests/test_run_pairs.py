@@ -1,6 +1,8 @@
-"""The pure parts of perf_records/run_pairs.py: seed lists and the summary."""
+"""The pure parts of perf_records/run_pairs.py: seed lists and the summaries."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,17 @@ def test_summary_counts_wins_by_each_metrics_direction_and_ties_for_neither():
 def test_summary_of_one_pair_reads_its_values():
     (line, _) = run_pairs.summarize([(_record(2.0, 1.0), _record(1.0, 1.0))], _METRICS)
     assert "parent 2 [2, 2]" in line and "change 1 [1, 1]" in line and "-50.0%" in line
+
+
+def test_faults_are_counted_per_attempted_op_and_summarized_by_each_sides_median():
+    assert run_pairs.faults_per_op(900, {"attempted": 18}) == 50.0
+    assert run_pairs.faults_per_op(7, {"attempted": 0}) == 7.0
+    line = run_pairs.summarize_faults([(300.0, 30.0), (100.0, 10.0), (200.0, 20.0)])
+    assert line.startswith("minflt/op") and "parent 200 " in line
+    assert "change 20 " in line and "-90.0%" in line
+
+
+def test_child_faults_grow_by_a_finished_childs_faults():
+    before = run_pairs.child_faults()
+    subprocess.run([sys.executable, "-c", "bytearray(1 << 22)"], check=True)
+    assert run_pairs.child_faults() > before
