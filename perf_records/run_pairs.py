@@ -17,9 +17,9 @@ At the end, for each end-to-end metric of BENCHMARK.json, the script
 prints each side's median and quartiles and the number of pairs the
 change won (ties count for neither side). Each run's minor page faults
 (the `ru_minflt` of RUSAGE_CHILDREN before and after it) per op it
-attempted are printed for each pair, and each side's median at the end:
-unlike op times, they do not drift with the host's core speed. Standard
-library only.
+attempted are printed for each pair and summarized at the end as one more
+lower-is-better metric, `minflt/op`: unlike op times, they do not drift
+with the host's core speed. Standard library only.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORDS = ROOT / "perf_records"
+# a run's minor faults per op, set in its record in memory (not in its file)
+FAULTS = {"name": "minflt/op", "unit": "faults", "better": "lower"}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -96,13 +98,6 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     return lines
 
 
-def summarize_faults(faults: list[tuple[float, float]]) -> str:
-    """Each side's median of the (parent, change) minor faults per op."""
-    parent, change = (statistics.median(side) for side in zip(*faults))
-    return (f"{'minflt/op':<12} parent {parent:.6g}  change {change:.6g}  "
-            f"{(change - parent) / parent:+.1%}")
-
-
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -123,7 +118,7 @@ def main(argv=None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="run_pairs-"))
     worktree = scratch / "parent"
     checkouts = {"parent": worktree, "change": ROOT}
-    pairs, faults = [], []
+    pairs = []
     try:
         _git("worktree", "add", "--detach", str(worktree), sha)
         for number, seed in enumerate(args.seeds, start=1):
@@ -135,8 +130,8 @@ def main(argv=None) -> int:
                 records[side] = json.loads(bench_file.read_text())
                 minflt[side] = faults_per_op(child_faults() - before, records[side])
                 shutil.copy2(bench_file, sides[side] / bench_file.name)
+                records[side]["end_to_end"][FAULTS["name"]] = [minflt[side]]
             pairs.append((records["parent"], records["change"]))
-            faults.append((minflt["parent"], minflt["change"]))
             ops = {side: records[side]["end_to_end"]["op_ms_p50"][0] for side in order}
             print(f"pair {number}/{len(args.seeds)} seed {seed} ({order[0]} first): "
                   f"op_ms_p50 parent {ops['parent']:.6g}, change {ops['change']:.6g}; "
@@ -148,10 +143,8 @@ def main(argv=None) -> int:
         shutil.rmtree(scratch, ignore_errors=True)
     print(f"# {args.workload}, parent {sha}, {len(pairs)} pairs of {seconds:g} s; "
           "median [q1, q3]")
-    for line in summarize(pairs, bench["end_to_end"]):
+    for line in summarize(pairs, bench["end_to_end"] + [FAULTS]):
         print(line)
-    if faults:
-        print(summarize_faults(faults))
     return 0
 
 

@@ -3,11 +3,12 @@ readers of float lists and UTF-8 input.
 
 The one rule: `_format_floats` writes each float as ``%.17g`` does, 17
 significant digits, so values survive a text round trip bit for bit and
-a saved model or data file keeps the paper's identities exactly. Below
-the crossover `_KERNEL_VALUES` it joins ``%.17g`` with ``%``; from there
-on a numpy kernel writes the same bytes faster, but for a block more than
-half of which lies outside [1e-4, 1e17), which goes to ``%`` whole. The
-kernel writes a value with 1e-4 <= |x| < 1e17 from its 17 significant
+a saved model or data file keeps the paper's identities exactly. A call
+of fewer than `_KERNEL_VALUES` values it joins with ``%``; a longer one,
+and every block of `save_csv`, goes block by block to the numpy kernel,
+which writes the same bytes faster but sends a block more than half of
+which lies outside [1e-4, 1e17) to ``%`` whole, from its own range mask.
+The kernel writes a value with 1e-4 <= |x| < 1e17 from its 17 significant
 digits D: with k = floor(log10|x|), Dekker's error-free product gives
 |x| * 10^(16-k) = p + e exactly (10^(16-k) <= 1e20 is an exact double),
 and D is p rounded half to even by e. When p + e lies in [10^16, 10^17)
@@ -33,15 +34,15 @@ from .errors import ParseError
 
 _FLOAT_FMT = "%.17g"
 
-# The crossover, measured on a 2-core x86-64 VM: `%` writes 1 value in
-# 1.3 us and 1024 in 0.7 ms, the kernel 85-130 us and 0.2-0.3 ms. CSV
-# blocks and large model bases fall above it, short vectors and scalars below.
-# A block more than half of whose values lie outside [1e-4, 1e17) goes to
-# `%` whole too, since the kernel pays its own arithmetic for each of them
-# and then `%`. On one 64x65 block (best of 15, process time, the same VM),
-# the kernel took 1.0 ms against 2.3 ms for `%` with every value in range,
-# 2.6 ms against 2.6 ms with 40% out of range, 3.0 ms against 2.8 ms with
-# half out, and 4.8 ms against 2.9 ms with all out.
+# The crossover of `_format_floats`, per call, measured on a 2-core x86-64
+# VM: `%` writes 1 value in 1.3 us and 1024 in 0.7 ms, the kernel 85-130 us
+# and 0.2-0.3 ms; large model bases fall above it, short vectors below.
+# The kernel, which takes every CSV block, sends one more than half of whose
+# values lie outside [1e-4, 1e17) to `%` whole, as it pays its own arithmetic
+# for each of them and then `%`. On one 64x65 block (best of 15, process
+# time, the same VM), the kernel took 1.0 ms against 2.3 ms for `%` with
+# every value in range, 2.6 ms against 2.6 ms with 40% out of range, 3.0 ms
+# against 2.8 ms with half out, and 4.8 ms against 2.9 ms with all out.
 _KERNEL_VALUES = 230
 
 # Floats are written in blocks of about this many values, each through one
@@ -89,19 +90,9 @@ def _format_floats(values) -> str:
         blocks = [rows[:, start:start + _WRITE_FLOATS]
                   for start in range(0, rows.size, _WRITE_FLOATS)]
     ws = _Workspace(blocks[0].size)  # the first block is the largest
-    texts = [_rows_text(block, ws) for block in blocks]
+    texts = [_kernel_text(block, ws) for block in blocks]
     text = b"".join(texts) if values.ndim == 2 else b",".join(text[:-1] for text in texts)
     return text.decode("ascii")
-
-
-def _rows_text(rows: np.ndarray, ws: _Workspace) -> bytes | bytearray:
-    """The rows of the 2-d `rows` as `_format_floats` writes them, in ASCII,
-    by the kernel through `ws` if it takes them faster than `%`: from
-    _KERNEL_VALUES values on, unless more than half of them lie outside
-    [1e-4, 1e17)."""
-    if rows.size >= _KERNEL_VALUES and 2 * np.count_nonzero(_in_range(rows, ws)) >= rows.size:
-        return _kernel_text(rows, ws)
-    return _joined_rows(rows).encode("ascii")
 
 
 def _join(values: list, sep: str) -> str:
@@ -200,16 +191,20 @@ def _in_range(rows: np.ndarray, ws: _Workspace) -> np.ndarray:
     return fast
 
 
-def _kernel_text(values: np.ndarray, ws: _Workspace) -> bytearray:
+def _kernel_text(values: np.ndarray, ws: _Workspace) -> bytes | bytearray:
     """The rows of the finite 2-d `values` as `_format_floats` writes them,
-    in ASCII, every step written into the buffers of `ws`."""
+    in ASCII, every step written into the buffers of `ws`; a block more
+    than half of which lies outside [1e-4, 1e17) is written by `%` whole."""
     rows, n = values.shape
     size = values.size
+    fast = _in_range(values, ws)
+    if 2 * np.count_nonzero(fast) < size:
+        return _joined_rows(values).encode("ascii")
     x = values.reshape(-1)
     pow10, pow10_hi, pow10_lo, digits4, zeros4, sa_table, sb_table, c_table = _kernel_tables()
     ax, t, scale_hi, scale_lo, ax_hi, ax_lo = ws.floats[:, :size]
     k, j, top, low, head, lead, g3, last = ws.ints[:, :size]
-    fast, mask, tmp = _in_range(values, ws), ws.masks[1, :size], ws.masks[2, :size]
+    mask, tmp = ws.masks[1, :size], ws.masks[2, :size]
     np.logical_not(fast, out=mask)
     np.copyto(ax, 1.0, where=mask)
     # log10 may be off by one near a power of ten; the range check below

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ._text import _WRITE_FLOATS, _Workspace, _rows_text, _utf8_text
+from ._text import _WRITE_FLOATS, _Workspace, _kernel_text, _utf8_text
 from .errors import (DimensionMismatch, EnergydiscError, InvalidParameter, LabelError,
                      ParseError, ZeroSignal)
 from .moments import _check_psd
@@ -144,9 +144,16 @@ def _class_rows(labels: np.ndarray, x: np.ndarray, label: int) -> np.ndarray:
     return rows
 
 
+def _check_count(value, name: str) -> int:
+    """`value` as an int; InvalidParameter naming `name` unless it is an integer >= 0."""
+    if isinstance(value, (int, np.integer)) and value >= 0:
+        return int(value)
+    raise InvalidParameter(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic PCG64 stream for the given 64-bit seed."""
-    return np.random.default_rng(seed)
+    """Deterministic PCG64 stream for the given 64-bit seed, an integer >= 0."""
+    return np.random.default_rng(_check_count(seed, "seed"))
 
 
 def gen_example1(n: int, m1: Iterable, m2: Iterable, covariance: Iterable, per_class: int,
@@ -170,6 +177,7 @@ def gen_example1(n: int, m1: Iterable, m2: Iterable, covariance: Iterable, per_c
         raise DimensionMismatch("covariance must be n-by-n")
     values, vectors = _check_psd(cov)
     factor = vectors * np.sqrt(np.clip(values, 0.0, None))  # factor @ factor.T = cov
+    per_class = _check_count(per_class, "per_class")
     rng = make_rng(seed)
     rows1 = m1 + rng.standard_normal((per_class, n)) @ factor.T
     rows2 = m2 + rng.standard_normal((per_class, n)) @ factor.T
@@ -200,7 +208,7 @@ def _example2_blocks(n: int, a: Iterable, sigma2: float, per_class: int, seed: i
     if n < 1:
         raise DimensionMismatch("dimension n must be at least 1")
     _check_signal_in_noise(a, sigma2)
-    rows = 2 * per_class
+    rows = 2 * _check_count(per_class, "per_class")
     step = block_rows or max(1, _WRITE_FLOATS // n)
     rng = make_rng(seed)
 
@@ -280,7 +288,7 @@ def save_csv(data, path) -> None:
                     # the labels go as a first float column: 1.0 and 2.0 are written 1 and 2
                     rows[:, 0] = block.labels[start:start + step]
                     rows[:, 1:] = features
-                    fh.write(_rows_text(rows, ws))
+                    fh.write(_kernel_text(rows, ws))
         except BaseException:
             # load_csv refuses an empty file; a pipe or device keeps what it took
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):

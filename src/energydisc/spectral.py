@@ -12,6 +12,7 @@ double as propositions of the projection lattice (see
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -111,10 +112,10 @@ class Projector:
 
     `Projector(matrix, rank)` takes U from the `sym_eig` of a matrix and
     then checks that the matrix is symmetric and idempotent within 1e-9
-    and that its trace is `rank` within 1e-8; `matrix` then returns the
-    given matrix as a float array. Every projector the package builds
-    itself is made from a basis, and its `matrix` is `sym_matrix(U U^T)`,
-    formed on first use and cached.
+    and that its trace is `rank` within 1e-8. Every projector the package
+    builds itself is made from a basis. The `matrix` of any projector is
+    `sym_matrix(U U^T)` of its basis, formed on first use and cached, so
+    meet, join, order, scoring and `matrix` all read the one basis.
 
     Raises (constructor):
         InvalidMatrix: the matrix is rejected by `sym_eig`, it is not an
@@ -138,7 +139,6 @@ class Projector:
         if k != rank:
             raise InvalidMatrix(f"projector rank {rank} is not a whole number")
         self._basis = vectors[:, :k]
-        self._matrix = m
 
     @classmethod
     def _from_basis(cls, basis: np.ndarray) -> "Projector":
@@ -150,7 +150,6 @@ class Projector:
             raise InvalidMatrix("projector basis is not orthonormal")
         p = cls.__new__(cls)
         p._basis = basis
-        p._matrix = None
         return p
 
     @property
@@ -166,11 +165,9 @@ class Projector:
     def dim(self) -> int:
         return self._basis.shape[0]
 
-    @property
+    @functools.cached_property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = sym_matrix(self._basis @ self._basis.T)
-        return self._matrix
+        return sym_matrix(self._basis @ self._basis.T)
 
     def __repr__(self) -> str:
         return f"Projector(dim={self.dim}, rank={self.rank})"

@@ -206,6 +206,28 @@ def test_discriminants_match_explicit_quadratic_forms(mode):
     assert set(explicit) == {1, 2}
 
 
+@pytest.mark.parametrize("mode", list(NormalizationMode))
+def test_discriminants_are_the_plain_energies_bit_for_bit(mode):
+    # ordinary rows are never rescored, so each energy is ||(x - m_i) U_i||^2
+    # (x - m_i in centered mode only, the squares summed by einsum as the
+    # scorer sums them), divided by tr K_i in trace mode
+    data = gen_example2(16, np.linspace(-1.0, 1.0, 16), 1.0, per_class=100, seed=37)
+    x = data.features
+    if mode is NormalizationMode.UNIT:
+        x = x / np.linalg.norm(x, axis=1)[:, None]
+    clf = fit(ClassSpec(0.4, estimate_moments(x[data.labels == 1])),
+              ClassSpec(0.6, estimate_moments(x[data.labels == 2])), mode)
+    want = []
+    for proj, mean, tr in ((clf.proj1, clf.mean1, clf.tr_k1), (clf.proj2, clf.mean2, clf.tr_k2)):
+        y = (x - mean if mode is NormalizationMode.CENTERED else x) @ proj.basis
+        energy = np.einsum("ij,ij->i", y, y)
+        want.append(energy / tr if mode is NormalizationMode.TRACE else energy)
+    g1, g2 = discriminants(clf, data.features)
+    assert g1.tobytes() == want[0].tobytes() and g2.tobytes() == want[1].tobytes()
+    np.testing.assert_array_equal(decide_batch(clf, data.features),
+                                  np.where(want[0] > want[1], 1, 2))
+
+
 def test_discriminants_dimension_check():
     clf = fit(*gaussian_pair())
     with pytest.raises(DimensionMismatch):

@@ -172,6 +172,30 @@ def test_make_rng_reproducible():
     np.testing.assert_array_equal(a, b)
 
 
+def test_make_rng_refuses_a_negative_seed():
+    with pytest.raises(InvalidParameter, match="^seed must be a non-negative integer"):
+        make_rng(-1)
+
+
+_GENERATORS = {
+    "example1": lambda per_class, seed: gen_example1(2, [2.0, 0.0], [0.0, 1.0], np.eye(2),
+                                                     per_class, seed),
+    "example2": lambda per_class, seed: gen_example2(3, [1, 2, 3], 1.0, per_class, seed),
+    # the blocks are drawn lazily, so a refusal at the call comes before any draw
+    "example2_blocks": lambda per_class, seed: datasets._example2_blocks(3, [1, 2, 3], 1.0,
+                                                                         per_class, seed),
+}
+
+
+@pytest.mark.parametrize("generator", list(_GENERATORS))
+@pytest.mark.parametrize("per_class, seed, name", [
+    (-1, 1, "per_class"), (1.5, 1, "per_class"), (1, -1, "seed"),
+])
+def test_generators_refuse_a_bad_count_or_seed_by_name(generator, per_class, seed, name):
+    with pytest.raises(InvalidParameter, match=f"^{name} must be a non-negative integer"):
+        _GENERATORS[generator](per_class, seed)
+
+
 def test_gen_example1_layout_and_determinism():
     data = gen_example1(2, [2.0, 0.0], [0.0, 1.0], np.eye(2), per_class=50, seed=9)
     assert len(data) == 100 and data.dim == 2
@@ -396,16 +420,16 @@ def test_format_floats_runs_the_kernel_from_the_crossover_on(monkeypatch):
 
 def test_format_floats_writes_a_block_mostly_out_of_range_by_percent(monkeypatch):
     calls = []
-    kernel = _text._kernel_text
+    joined = _text._joined_rows
 
-    def counted(rows, ws):
+    def counted(rows):
         calls.append(rows.size)
-        return kernel(rows, ws)
+        return joined(rows)
 
-    monkeypatch.setattr(_text, "_kernel_text", counted)
+    monkeypatch.setattr(_text, "_joined_rows", counted)
     values = np.full((10, 30), 0.5)
     # half of the values out of range go to the kernel, one more to `%`
-    for out, used in ((150, [300]), (151, [])):
+    for out, used in ((150, []), (151, [300])):
         values.flat[:out] = 1e20
         calls.clear()
         want = "".join(",".join(_text._FLOAT_FMT % v for v in row) + "\n"
@@ -439,7 +463,6 @@ def test_one_workspace_writes_each_block_afresh():
     for rows in blocks:
         want = _percent_rows(rows)
         assert _text._kernel_text(rows, ws).decode() == want
-        assert _text._rows_text(rows, ws).decode() == want
 
 
 @pytest.mark.parametrize("write_floats", [300, 1000])
@@ -450,11 +473,29 @@ def test_save_csv_writes_each_block_afresh_through_one_workspace(monkeypatch, tm
                 10.0 ** rng.uniform(-300, 300, (50, 7)), _edge_rows(7)]
     blocks = [(np.resize([1, 2], len(x)), x) for x in features]
     monkeypatch.setattr(datasets, "_WRITE_FLOATS", write_floats)
-    monkeypatch.setattr(_text, "_KERNEL_VALUES", 1)  # the kernel takes even the shortest block
     save_csv(blocks, tmp_path / "blocks.csv")
     rows = np.concatenate([np.column_stack(block) for block in blocks])
     header = "label," + ",".join(f"x{i + 1}" for i in range(7)) + "\n"
     assert (tmp_path / "blocks.csv").read_text() == header + _percent_rows(rows)
+
+
+def test_save_csv_forms_each_blocks_range_mask_once(monkeypatch, tmp_path):
+    # rows of width 8 in blocks of 512: 1000 ordinary rows make two blocks
+    # for the kernel, 300 rows mostly outside [1e-4, 1e17) one block for `%`
+    rng = np.random.default_rng(29)
+    features = [rng.standard_normal((1000, 7)), 10.0 ** rng.uniform(-300, 300, (300, 7))]
+    blocks = [(np.resize([1, 2], len(x)), x) for x in features]
+    passes = []
+    in_range = _text._in_range
+
+    def counted(rows, ws):
+        passes.append(rows.size)
+        return in_range(rows, ws)
+
+    monkeypatch.setattr(_text, "_in_range", counted)
+    monkeypatch.setattr(datasets, "_WRITE_FLOATS", 512 * 7)
+    save_csv(blocks, tmp_path / "blocks.csv")
+    assert passes == [512 * 8, 488 * 8, 300 * 8]
 
 
 def test_csv_empty_dataset_round_trip(tmp_path):

@@ -50,12 +50,15 @@ def test_summary_of_one_pair_reads_its_values():
     assert "parent 2 [2, 2]" in line and "change 1 [1, 1]" in line and "-50.0%" in line
 
 
-def test_faults_are_counted_per_attempted_op_and_summarized_by_each_sides_median():
+def test_faults_are_counted_per_attempted_op_and_summarized_as_a_lower_is_better_metric():
     assert run_pairs.faults_per_op(900, {"attempted": 18}) == 50.0
     assert run_pairs.faults_per_op(7, {"attempted": 0}) == 7.0
-    line = run_pairs.summarize_faults([(300.0, 30.0), (100.0, 10.0), (200.0, 20.0)])
-    assert line.startswith("minflt/op") and "parent 200 " in line
-    assert "change 20 " in line and "-90.0%" in line
+    pairs = [({"end_to_end": {"minflt/op": [p]}}, {"end_to_end": {"minflt/op": [c]}})
+             for p, c in ((300.0, 30.0), (100.0, 10.0), (200.0, 200.0))]
+    (line,) = run_pairs.summarize(pairs, [run_pairs.FAULTS])
+    assert line.startswith("minflt/op") and "parent 200 [100, 300]" in line
+    assert "change 30 [10, 200]" in line and "-85.0%" in line
+    assert "change won 2/3 faults" in line
 
 
 def test_child_faults_grow_by_a_finished_childs_faults():

@@ -263,7 +263,9 @@ def test_projector_constructor_takes_the_basis_of_sym_eig():
             m = random_projector(rng, n, rank).matrix
             p = Projector(m, rank)
             assert p.basis.tobytes() == sym_eig(m).eigenvectors[:, :rank].tobytes()
-            assert p.matrix.tobytes() == m.tobytes()
+            # the matrix is derived from that basis, as for every projector
+            assert p.matrix.tobytes() == sym_matrix(p.basis @ p.basis.T).tobytes()
+            assert max_abs(p.matrix - m) <= 1e-12
 
 
 def test_projector_repr():
