@@ -210,19 +210,23 @@ def fit(
     )
 
 
-def _energies(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """<P x, x> = ||x U||^2 for every row x of `x`, with U the basis of P."""
-    y = x @ basis
+def _energies(x: np.ndarray, basis: np.ndarray, mean: np.ndarray | None = None) -> np.ndarray:
+    """<P y, y> = ||y U||^2 for every row y of x, or of x - mean if a mean
+    is given, with U the basis of P."""
+    y = (x if mean is None else x - mean) @ basis
     return np.einsum("ij,ij->i", y, y)
 
 
-def _pair(clf: EnergyClassifier, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(g_1, g_2) = (<P_1 x_1, x_1>, <P_2 x_2, x_2>) for the rows of x1 and
-    x2, each divided by tr K_i in trace mode. An overflow comes through as
-    inf or nan, unwarned."""
+def _pair(clf: EnergyClassifier, x1: np.ndarray, x2: np.ndarray,
+          centered: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(g_1, g_2) = (<P_1 y_1, y_1>, <P_2 y_2, y_2>) for the rows of x1 and
+    x2, with y_i = x_i - m_i if `centered`, else x_i, each divided by tr K_i
+    in trace mode; y_1 is dropped before y_2 is formed. An overflow comes
+    through as inf or nan, unwarned."""
+    means = (clf.mean1, clf.mean2) if centered else (None, None)
     with np.errstate(over="ignore", invalid="ignore"):
-        g1 = _energies(x1, clf.proj1.basis)
-        g2 = _energies(x2, clf.proj2.basis)
+        g1 = _energies(x1, clf.proj1.basis, means[0])
+        g2 = _energies(x2, clf.proj2.basis, means[1])
         if clf.mode is NormalizationMode.TRACE:
             g1 /= clf.tr_k1
             g2 /= clf.tr_k2
@@ -261,18 +265,17 @@ def discriminants(clf: EnergyClassifier, x: np.ndarray, *, _decide: bool = False
     bad = _first_nonfinite_row(x)
     if bad is not None:
         raise InvalidParameter(f"non-finite value at row {bad + 1}")
+    centered = clf.mode is NormalizationMode.CENTERED
     if clf.mode is NormalizationMode.UNIT:
         x = _unit_rows(x)
-    x1 = x2 = x  # the rows each energy is taken of: x - m_i in centered mode
-    if clf.mode is NormalizationMode.CENTERED:
-        with np.errstate(over="ignore", invalid="ignore"):
-            x1, x2 = x - clf.mean1, x - clf.mean2
-    g1, g2 = _pair(clf, x1, x2)
+    g1, g2 = _pair(clf, x, x, centered)
     labels = _labels(g1, g2)
     top = np.maximum(g1, g2)  # nan if either is
     rows = np.flatnonzero(~((top >= _TINY) & (top < np.inf)))
     if rows.size:
-        x1, x2 = x1[rows], x2[rows]
+        x = x[rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x1, x2 = (x - clf.mean1, x - clf.mean2) if centered else (x, x)
         top = np.maximum(np.abs(x1).max(axis=1), np.abs(x2).max(axis=1))
         scored = top != 0  # a zero row's pair is (0, 0) at any scale
         rows, x1, x2, top = rows[scored], x1[scored], x2[scored], top[scored, None]

@@ -4,9 +4,11 @@ A class of random signals is summarized by its mean m, correlation
 operator K = E[xx^T], and covariance operator R = E[(x-m)(x-m)^T].
 These satisfy the rank-one split K = R + ||m||^2 * p_mbar, where p_mbar
 projects onto the mean direction. Both the empirical and the analytic
-moments derive K from R by this split, so an estimate costs one Gram
-product. Expected signal energy through any symmetric operator A is the
-trace functional E<Ax,x> = tr(KA).
+moments derive K from R by this split, so an estimate costs one pass for
+the mean and one Gram product of the centered rows, which are centered and
+multiplied about 1 MiB of rows at a time and never held whole. Expected
+signal energy through any symmetric operator A is the trace functional
+E<Ax,x> = tr(KA).
 
 Empirical moments are sums over the rows, so they can be gathered one
 block of rows at a time: a running sum keeps the count, the mean and the
@@ -26,6 +28,9 @@ from .spectral import EigenDecomposition, _vectors, sym_eig, sym_matrix
 
 # PSD slack for estimated/validated operators, relative to the trace.
 _PSD_RTOL = 1e-9
+# Rows are centered 2^17 values (1 MiB) at a time, a chunk that stays in
+# cache between the subtraction and its Gram product.
+_CHUNK_VALUES = 1 << 17
 
 
 def _check_psd(covariance: np.ndarray) -> EigenDecomposition:
@@ -89,7 +94,11 @@ class _MomentSum:
     """Count, mean and centered scatter S = sum (x - m)(x - m)^T of the rows
     added so far, one block at a time by `_merge`. The raw sum of x x^T is
     never formed, because S = sum x x^T - N m m^T cancels for means far
-    from the origin."""
+    from the origin. Within a block, the rows are centered about the
+    block's mean one chunk of `_CHUNK_VALUES` values at a time and the
+    chunks' Gram products summed (the two-pass algorithm), so a block of
+    at most one chunk gives the whole-array floats bit for bit and a
+    larger one differs from them in the last bits only."""
 
     def __init__(self):
         self.count = 0
@@ -97,15 +106,24 @@ class _MomentSum:
 
     def add(self, x: np.ndarray) -> None:
         """Add the rows of the 2-d float array `x`."""
-        k = x.shape[0]
+        k, n = x.shape
         if k == 0:
             return
+        step = max(1, _CHUNK_VALUES // n)
+        buffer = np.empty((min(k, step), n))
         # an overflow may meet an opposite one as inf - inf, hence invalid too
         with np.errstate(over="ignore", invalid="ignore"):
             mean = x.mean(axis=0)
-            centered = x - mean
+            for start in range(0, k, step):
+                part = x[start:start + step]
+                centered = np.subtract(part, mean, out=buffer[:part.shape[0]])
+                gram = centered.T @ centered
+                if start == 0:
+                    scatter = gram
+                else:
+                    scatter += gram
             self.count, self.mean, self.scatter = _merge(
-                self.count, self.mean, self.scatter, k, mean, centered.T @ centered)
+                self.count, self.mean, self.scatter, k, mean, scatter)
         _no_overflow(self.mean, self.scatter)
 
     def summary(self) -> MomentSummary:
@@ -116,12 +134,14 @@ class _MomentSum:
 def estimate_moments(samples: Iterable) -> MomentSummary:
     """Empirical moments of a sample set (rows are observations).
 
-    Uses plain 1/N averaging. R is the Gram product of the centered rows;
-    K is derived from it by the rank-one split K = R + m m^T, which the
-    1/N estimators obey as an algebraic identity, so there is no second
-    n^2 N product. The derivation is normwise stable: the error of K stays
-    a small multiple of the unit roundoff times max|K|, also for means far
-    from the origin. This is a `_MomentSum` of one block.
+    Uses plain 1/N averaging. R is the Gram product of the centered rows,
+    summed over chunks of about 1 MiB of rows, so no centered copy of the
+    whole array is formed; K is derived from it by the rank-one split
+    K = R + m m^T, which the 1/N estimators obey as an algebraic identity,
+    so there is no second n^2 N product. The derivation is normwise
+    stable: the error of K stays a small multiple of the unit roundoff
+    times max|K|, also for means far from the origin. This is a
+    `_MomentSum` of one block.
     """
     try:
         x = np.atleast_2d(np.asarray(samples, dtype=float))

@@ -360,6 +360,23 @@ def test_centered_rows_far_out_are_decided_by_their_scaled_pair():
         decide_batch(far, [[2.0, 0.1], [1e308, 0.0]])
 
 
+def test_centered_scoring_holds_one_difference_at_a_time():
+    # x - m_1 is dropped before x - m_2 is formed: with rank(P_1) = n/2 the
+    # peak is one N×n difference and one N×n/2 projection, not two differences
+    n = 64
+    clf = fit(ClassSpec(0.5, analytic_moments(np.full(n, 1.0), np.diag([4.0] * 32 + [1.0] * 32))),
+              ClassSpec(0.5, analytic_moments(np.full(n, -1.0), np.eye(n))), "centered")
+    assert clf.proj1.rank == 32
+    x = np.random.default_rng(26).standard_normal((8000, n))
+    tracemalloc.start()
+    try:
+        decide_batch(clf, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * x.nbytes
+
+
 @pytest.mark.parametrize("mode", ["raw", "trace"])
 def test_discriminants_of_rows_at_extreme_scales(mode):
     clf = fit(*gaussian_pair(), mode)

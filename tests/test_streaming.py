@@ -14,6 +14,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from energydisc import (
     fit,
     gen_example2,
     load_csv,
+    moments,
     region_energy,
     save_csv,
     sym_matrix,
@@ -93,19 +95,13 @@ def test_estimate_moments_gives_the_whole_array_floats(rows, n, offset):
     assert s.count == rows
 
 
-@pytest.mark.parametrize("block", [1, 7, 400])
-@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
-def test_merged_moments_match_extended_precision(offset, block):
-    # the gate of test_estimate_correlation_matches_extended_precision,
-    # with the rows added in blocks
+def _offset_rows(rows, n, offset):
     rng = np.random.default_rng(43)
-    n = 6
-    x = offset * rng.uniform(-1.0, 1.0, n) + rng.standard_normal((400, n)) * 2.0
-    total = _MomentSum()
-    for part in _blocks(x, block):
-        total.add(part)
-    s = total.summary()
-    assert s.count == 400
+    return offset * rng.uniform(-1.0, 1.0, n) + rng.standard_normal((rows, n)) * 2.0
+
+
+def _assert_extended_precision(s, x):
+    """The gate of test_estimate_correlation_matches_extended_precision."""
     xl = x.astype(np.longdouble)
     reference = xl.T @ xl / x.shape[0]
     err = np.max(np.abs(s.correlation.astype(np.longdouble) - reference))
@@ -117,6 +113,50 @@ def test_merged_moments_match_extended_precision(offset, block):
     err = np.max(np.abs(s.covariance.astype(np.longdouble) - reference))
     scale = np.max(np.abs(reference))
     assert err <= 1e-14 * scale * max(1.0, np.max(np.abs(s.mean)) / np.sqrt(scale))
+
+
+@pytest.mark.parametrize("block", [1, 7, 400])
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_merged_moments_match_extended_precision(offset, block):
+    # the rows added in blocks
+    x = _offset_rows(400, 6, offset)
+    total = _MomentSum()
+    for part in _blocks(x, block):
+        total.add(part)
+    s = total.summary()
+    assert s.count == 400
+    _assert_extended_precision(s, x)
+
+
+# chunks of 7 rows at n = 6, and of one row at n = 50
+_CHUNK_VALUES = 42
+
+
+@pytest.mark.parametrize("rows, n", [(6, 6), (7, 6), (8, 6), (17, 6), (400, 6), (9, 50)])
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_chunked_scatter_matches_extended_precision(monkeypatch, rows, n, offset):
+    monkeypatch.setattr(moments, "_CHUNK_VALUES", _CHUNK_VALUES)
+    x = _offset_rows(rows, n, offset)
+    s = estimate_moments(x)
+    assert s.count == rows
+    np.testing.assert_array_equal(s.mean, x.mean(axis=0))
+    _assert_extended_precision(s, x)
+    if rows * n <= _CHUNK_VALUES:
+        # a block of one chunk gives the whole-array floats
+        for got, want in zip((s.mean, s.correlation, s.covariance), reference_moments(x)):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_estimate_moments_allocates_little_beyond_its_rows():
+    # the rows are centered one chunk at a time, never as a whole N×n copy
+    x = np.random.default_rng(44).standard_normal((200000, 8))
+    tracemalloc.start()
+    try:
+        estimate_moments(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * x.nbytes
 
 
 def test_moment_sum_skips_empty_blocks():
