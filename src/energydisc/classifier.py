@@ -125,24 +125,24 @@ class EnergyReport:
     total: float
 
 
-def _traces(class1: ClassSpec, class2: ClassSpec, centered: bool = False) -> tuple[float, float]:
-    """The traces of the two classes' correlations K, or of their
-    covariances if `centered`; finite moments may still have a trace beyond
-    the float range, which is an InvalidParameter."""
+def _trace(k: np.ndarray) -> float:
+    """tr k; finite moments may still have a trace beyond the float range,
+    which is an InvalidParameter."""
     with np.errstate(over="ignore"):
-        traces = tuple(float(np.trace(c.moments.covariance if centered else c.moments.correlation))
-                       for c in (class1, class2))
-    _no_overflow(np.array(traces))
-    return traces
+        tr = float(np.trace(k))
+    _no_overflow(np.array(tr))
+    return tr
 
 
-def _mode_matrix(moments: MomentSummary, mode: NormalizationMode, tr: float) -> np.ndarray:
-    """Operator carrying the class energy under the given mode; trace mode
-    divides by `tr`, the class's tr K."""
+def _mode_matrix(moments: MomentSummary, mode: NormalizationMode) -> np.ndarray:
+    """Operator carrying the class energy under the given mode: trace mode
+    divides K by its own `_trace`, which must be positive (DegenerateTrace
+    otherwise)."""
     if mode is NormalizationMode.CENTERED:
         return moments.covariance
     k = moments.correlation
     if mode is NormalizationMode.TRACE:
+        tr = _trace(k)
         if tr <= 0.0:
             raise DegenerateTrace(f"correlation trace {tr} is not positive")
         return k / tr
@@ -188,9 +188,9 @@ def fit(
     n = class1.moments.dim
     if class2.moments.dim != n:
         raise DimensionMismatch("class moment dimensions differ")
-    tr1, tr2 = _traces(class1, class2)
-    m1 = _mode_matrix(class1.moments, mode, tr1)
-    m2 = _mode_matrix(class2.moments, mode, tr2)
+    tr1, tr2 = _trace(class1.moments.correlation), _trace(class2.moments.correlation)
+    m1 = _mode_matrix(class1.moments, mode)
+    m2 = _mode_matrix(class2.moments, mode)
     values, vectors = sym_eig(class1.prior * m1 - class2.prior * m2)
     k = _positive_rank(values)  # values descend: U_1 is the first k columns
     smaller = vectors[:, :k] if _stores_u1(n, k) else vectors[:, k:]
@@ -276,9 +276,8 @@ def discriminants(clf: EnergyClassifier, x: np.ndarray, *, _decide: bool = False
         x = x[rows]
         with np.errstate(over="ignore", invalid="ignore"):
             x1, x2 = (x - clf.mean1, x - clf.mean2) if centered else (x, x)
-        top = np.maximum(np.abs(x1).max(axis=1), np.abs(x2).max(axis=1))
-        scored = top != 0  # a zero row's pair is (0, 0) at any scale
-        rows, x1, x2, top = rows[scored], x1[scored], x2[scored], top[scored, None]
+        # e = 0 for a zero row, whose pair stays (0, 0)
+        top = np.maximum(np.abs(x1).max(axis=1), np.abs(x2).max(axis=1))[:, None]
         (x1, e), (x2, _) = _pow2_scaled(x1, top), _pow2_scaled(x2, top)
         s1, s2 = _pair(clf, x1, x2)
         lost = np.flatnonzero(~(np.isfinite(s1) & np.isfinite(s2)))
@@ -319,13 +318,12 @@ def energy_report(clf: EnergyClassifier, class1: ClassSpec, class2: ClassSpec) -
     projector P_i passes from class S_j, with M_j the mode's operator.
     Each entry is computed from P_i's own basis U_i as the sum of
     (M_j U_i) * U_i, so Enr_C + Enr_E = total is a check, not an identity
-    of the arithmetic. A trace of the mode's class operators, an entry or
-    the total beyond the float range is an InvalidParameter.
+    of the arithmetic. An entry or the total beyond the float range is an
+    InvalidParameter, as is a trace-mode class whose tr K is.
     """
     if class1.moments.dim != clf.dim or class2.moments.dim != clf.dim:
         raise DimensionMismatch("class moments do not match the model dimension")
-    traces = _traces(class1, class2, clf.mode is NormalizationMode.CENTERED)
-    ops = tuple(_mode_matrix(c.moments, clf.mode, tr) for c, tr in zip((class1, class2), traces))
+    ops = (_mode_matrix(class1.moments, clf.mode), _mode_matrix(class2.moments, clf.mode))
     priors = (class1.prior, class2.prior)
     bases = (clf.proj1.basis, clf.proj2.basis)
     with np.errstate(over="ignore", invalid="ignore"):
