@@ -26,14 +26,15 @@ are prepared at decision time:
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from ._text import _format_floats, _parse_floats, _utf8_text
-from .datasets import (LabeledDataset, _check_signal_in_noise, _class_rows, _first_nonfinite_row,
-                       _unit_rows)
+from .datasets import (LabeledDataset, _check_count, _check_signal_in_noise, _class_rows,
+                       _first_nonfinite_row, _unit_rows)
 from .errors import (DegenerateTrace, DimensionMismatch, EmptyClass, InvalidParameter,
                      ParseError)
 from .moments import MomentSummary, _merge, _no_overflow
@@ -168,8 +169,10 @@ def _pair_from_smaller_basis(basis: np.ndarray, rank1: int) -> tuple[Projector, 
 
 
 def _positive_rank(spectrum: np.ndarray) -> int:
-    """rank(P_1): the count of eigenvalues above eps = 1e-10 * max(1, |lambda|_max)."""
-    eps = 1e-10 * max(1.0, float(np.max(np.abs(spectrum), initial=0.0)))
+    """rank(P_1): the count of eigenvalues above eps = 1e-10 * |lambda|_max, a
+    rule that does not depend on the data's scale (an all-zero spectrum has
+    rank 0)."""
+    eps = 1e-10 * float(np.max(np.abs(spectrum), initial=0.0))
     return int(np.count_nonzero(spectrum > eps))
 
 
@@ -179,7 +182,7 @@ def fit(
     """Construct the optimal projector pair for two classes.
 
     P_1 spans the eigenvectors of p_1 M_1 - p_2 M_2 with eigenvalue above
-    eps = 1e-10 * max(1, |lambda|_max); the rest, including the zero
+    eps = 1e-10 * |lambda|_max; the rest, including the zero
     eigenspace, goes to P_2. For unit mode the supplied moments must have
     been estimated from unit-normalized samples (not enforced here). A
     correlation trace beyond the float range is an InvalidParameter.
@@ -349,6 +352,7 @@ class _Functionals(NamedTuple):
     region: float  # sum_i p_i * mean over class i of g_i kept by correct decisions
     stderr: float  # the standard error of `region`
     accuracy: float  # the share of rows decided correctly, priors aside
+    cross: float  # sum_i p_i * mean over class i of the other class's g (the cross energy)
 
 
 _SAMPLE_OVERFLOW = "sample energies overflow the float range; rescale the rows"
@@ -357,16 +361,17 @@ _SAMPLE_OVERFLOW = "sample energies overflow the float range; rescale the rows"
 class _SampleSums:
     """Per-class sums of one scoring pass over labeled rows, added one
     block at a time, each list indexed by class - 1: the row count, the
-    sums of g_i and of the indicator of a correct decision, and the mean
-    and squared deviation M2 of the energy kept by correct decisions,
-    merged by `moments._merge`. A sum of one block gives the whole-array
-    means and var(ddof=1) bit for bit.
+    sums of g_i, of the other class's g and of the indicator of a correct
+    decision, and the mean and squared deviation M2 of the energy kept by
+    correct decisions, merged by `moments._merge`. A sum of one block
+    gives the whole-array means and var(ddof=1) bit for bit.
     """
 
     def __init__(self, clf: EnergyClassifier):
         self.clf = clf
         self.count = [0, 0]
         self.g = [0.0, 0.0]
+        self.cross = [0.0, 0.0]
         self.won = [0, 0]
         self.kept = [0.0, 0.0]
         self.m2 = [0.0, 0.0]
@@ -376,7 +381,8 @@ class _SampleSums:
         if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
             raise InvalidParameter(_SAMPLE_OVERFLOW)
         hits = decided == labels
-        for i, g in enumerate((g1, g2)):
+        pair = (g1, g2)
+        for i, g in enumerate(pair):
             g, won = _class_rows(labels, g, i + 1), _class_rows(labels, hits, i + 1)
             k = won.size
             if k == 0:
@@ -386,12 +392,13 @@ class _SampleSums:
             # reads M2, and region_energy refuses it then
             with np.errstate(over="ignore"):
                 self.g[i] += float(g.sum())
+                self.cross[i] += float(_class_rows(labels, pair[1 - i], i + 1).sum())
                 kept = g * won  # the energy of the rows decided correctly
                 mean = float(kept.mean())
                 m2 = float(np.sum(np.square(kept - mean)))
                 self.count[i], self.kept[i], self.m2[i] = _merge(
                     self.count[i], self.kept[i], self.m2[i], k, mean, m2)
-            if not (np.isfinite(self.g[i]) and np.isfinite(mean)):
+            if not (np.isfinite(self.g[i]) and np.isfinite(self.cross[i]) and np.isfinite(mean)):
                 raise InvalidParameter(_SAMPLE_OVERFLOW)
             self.won[i] += int(np.count_nonzero(won))
 
@@ -399,7 +406,7 @@ class _SampleSums:
         """The sample functionals with these class priors; a class is
         skipped, and may be absent, only if its prior is zero (EmptyClass
         otherwise)."""
-        quality = indicator = region = variance = 0.0
+        quality = indicator = region = variance = cross = 0.0
         for i, prior in enumerate(priors):
             if prior == 0.0:
                 continue
@@ -407,12 +414,14 @@ class _SampleSums:
             if count == 0:
                 raise EmptyClass(f"no samples with label {i + 1}")
             quality += prior * (self.g[i] / count)
+            cross += prior * (self.cross[i] / count)
             indicator += prior * (self.won[i] / count)
             region += prior * self.kept[i]
             if count > 1:
                 variance += prior**2 * (self.m2[i] / (count - 1)) / count
         accuracy = sum(self.won) / sum(self.count)
-        return _Functionals(quality, indicator, region, float(np.sqrt(variance)), accuracy)
+        return _Functionals(quality, indicator, region, float(np.sqrt(variance)), accuracy,
+                            cross)
 
 
 def _sample_functionals(clf: EnergyClassifier, data: LabeledDataset,
@@ -422,7 +431,10 @@ def _sample_functionals(clf: EnergyClassifier, data: LabeledDataset,
     Each class term is a prior-weighted mean over that class's rows; a
     class is skipped, and may be absent, only if its prior is zero.
     """
-    p1, p2 = float(priors[0]), float(priors[1])
+    pair = tuple(priors) if np.iterable(priors) else ()
+    if len(pair) != 2 or not all(isinstance(p, numbers.Real) for p in pair):
+        raise InvalidParameter(f"priors must be a pair of numbers, got {priors!r}")
+    p1, p2 = float(pair[0]), float(pair[1])
     if not (p1 >= 0.0 and p2 >= 0.0 and abs(p1 + p2 - 1.0) <= 1e-12):  # NaN fails
         raise InvalidParameter("priors must be nonnegative and sum to 1")
     sums = _SampleSums(clf)
@@ -476,9 +488,8 @@ def snr(a, sigma2: float, n: int | None = None) -> float:
     _check_signal_in_noise(a, sigma2)
     if a.ndim != 1:
         raise DimensionMismatch(f"signal must be a 1-d vector, got shape {a.shape}")
-    if n is None:
-        n = a.shape[0]
-    if not n >= 1:  # NaN fails the comparison
+    n = a.shape[0] if n is None else _check_count(n, "n")
+    if n < 1:
         raise InvalidParameter("dimension must be at least 1")
     # a and sigma^2 scaled by powers of two, which is exact, so that a ratio
     # in the float range never passes through an overflow of ||a||^2 or n sigma^2

@@ -186,8 +186,10 @@ def _cmd_eval(args) -> int:
     spec2 = clf_mod.ClassSpec(model.prior2, mom2)
     report = clf_mod.energy_report(model, spec1, spec2)
     functionals = scores.functionals((model.prior1, model.prior2))
-    lower_slack = report.enr_correct - functionals.region
-    upper_slack = report.enr_error - lower_slack
+    # the energies the decision compared: a wrongly decided row never has
+    # the larger own energy, so both slacks are nonnegative in every mode
+    lower_slack = functionals.quality - functionals.region
+    upper_slack = functionals.cross - lower_slack
     slack_tol = 1e-9 * max(1.0, abs(report.total))
     ok = lower_slack >= -slack_tol and upper_slack >= -slack_tol
     for key, value in (

@@ -304,7 +304,7 @@ def test_cli_round_trip(tmp_path):
             # one fresh interpreter per command, as with the console script
             proc = subprocess.run([sys.executable, "-m", "energydisc", *argv],
                                   cwd=workdir, env=env,
-                                  capture_output=True, text=True)
+                                  capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             transcripts.append(proc.stdout)
         return (workdir / "data.csv").read_bytes(), (workdir / "model.txt").read_bytes(), transcripts

@@ -621,8 +621,10 @@ def test_snr_values_and_errors():
 
 
 @pytest.mark.parametrize("signal, n, error, message", [
-    *(pytest.param([1.0], n, InvalidParameter, "dimension must be at least 1", id=str(n))
-      for n in (0, -1, np.nan, float("-inf"))),
+    pytest.param([1.0], 0, InvalidParameter, "dimension must be at least 1", id="0"),
+    # n=2.5 gave 0.4, n=inf 0.0 and n="3" a TypeError
+    *(pytest.param([1.0], n, InvalidParameter, "n must be a non-negative integer",
+                   id=repr(n)) for n in (-1, np.nan, float("-inf"), 2.5, float("inf"), "3")),
     pytest.param(5.0, None, DimensionMismatch, "1-d vector", id="0-d-signal"),
     pytest.param([[1.0, 2.0]], None, DimensionMismatch, "1-d vector", id="2-d-signal"),
     pytest.param([[1.0], [1.0, 2.0]], None, DimensionMismatch, "one length", id="ragged-signal"),
@@ -684,6 +686,14 @@ def test_empirical_quality_prior_handling():
 @pytest.mark.parametrize("priors", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan)])
 def test_empirical_quality_rejects_nan_priors(priors):
     with pytest.raises(InvalidParameter):
+        empirical_quality(fit(*gaussian_pair()), small_dataset(), priors)
+
+
+# (1, 0, 0) silently used its first two priors, and (1,) raised an IndexError
+@pytest.mark.parametrize("priors", [(1.0, 0.0, 0.0), (1.0,), (), 0.5, "10", ("0.5", "0.5"),
+                                    (0.5, None), ((0.5,), (0.5,))])
+def test_empirical_quality_refuses_priors_that_are_not_a_pair_of_numbers(priors):
+    with pytest.raises(InvalidParameter, match="priors must be a pair of numbers"):
         empirical_quality(fit(*gaussian_pair()), small_dataset(), priors)
 
 

@@ -279,6 +279,34 @@ def test_eval_report(capsys, tmp_path):
     assert float(fields["sandwich_upper_slack"]) >= -1e-9
 
 
+# n = 64 with a ramp signal, -3.0, -2.9, ..., 3.3: in trace and centered
+# mode, eval once read a negative upper slack on the very file it was fit on
+_RAMP = ",".join(f"{(i - 30) / 10:.1f}" for i in range(64))
+
+
+@pytest.mark.parametrize("mode", ["raw", "trace", "unit", "centered"])
+def test_eval_on_the_fitted_file_holds_the_sandwich_in_every_mode(capsys, tmp_path, mode):
+    data = tmp_path / "ramp.csv"
+    code, out, err = run_cli(capsys, "gen-example2", "--n", "64", f"--a={_RAMP}",
+                             "--sigma2", "1", "--per-class", "500", "--seed", "5",
+                             "--out", str(data))
+    assert code == 0, err
+    model_path = fit_model(capsys, tmp_path, data, mode)
+    code, out, err = run_cli(capsys, "eval", "--model", str(model_path), "--data", str(data))
+    assert code == 0, err
+    fields = {key: float(value) for key, value in (line.split("=", 1) for line in out.splitlines())
+              if key not in ("mode", "sandwich_ok")}
+    scale = max(1.0, abs(fields["total_energy"]))
+    # the slacks compare the energies the decision compared, and a wrongly
+    # decided row never has the larger own energy
+    assert fields["sandwich_lower_slack"] >= -1e-9 * scale
+    assert fields["sandwich_upper_slack"] >= -1e-9 * scale
+    assert out.endswith("sandwich_ok=true\n")
+    # Enr_C from the class moments, p_i tr(P_i M_i), is the prior-weighted
+    # mean of g_i over the same rows that the scoring pass sums
+    assert abs(fields["enr_correct"] - fields["empirical_quality"]) <= 1e-12 * scale
+
+
 def test_eval_unit_mode_uses_unit_normalized_moments(capsys, tmp_path):
     data_path = gen_data(capsys, tmp_path, per_class=50)
     model_path = fit_model(capsys, tmp_path, data_path, mode="unit")
@@ -521,6 +549,27 @@ def test_fit_on_rows_near_1e200(capsys, tmp_path, mode):
             2, "", "error: class moments overflow the float range; rescale the rows\n")
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0**-20], ids=["1", "2^-20"])
+def test_raw_fit_does_not_depend_on_the_data_scale(capsys, tmp_path, scale):
+    # every feature times 2^-20, which is exact, once fit rank1=0 and read
+    # accuracy 0.5: an absolute floor in eps discarded the one eigenvalue
+    paths = []
+    for seed in (1, 2):
+        path = tmp_path / f"seed{seed}.csv"
+        code, out, err = run_cli(capsys, "gen-example1", "--n", "4", "--m1", "3,0,0,0",
+                                 "--m2", "0,3,0,0", "--per-class", "5000", "--seed", str(seed),
+                                 "--out", str(path))
+        assert code == 0, err
+        data = load_csv(path)
+        datasets.save_csv(datasets.LabeledDataset(data.labels, data.features * scale), path)
+        paths.append(path)
+    model_path = fit_model(capsys, tmp_path, paths[0])
+    assert "rank1=1\n" in model_path.read_text(encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", "--model", str(model_path), "--data", str(paths[1]))
+    assert code == 0, err
+    assert "\naccuracy=0.9304\n" in out
+
+
 @pytest.mark.parametrize("mode", ["raw", "trace", "unit", "centered"])
 def test_fit_refuses_a_correlation_trace_beyond_the_float_range(capsys, tmp_path, mode):
     # class 1's moments are finite, but its correlation trace, about
@@ -632,7 +681,8 @@ def test_the_cli_chain_is_quiet_in_dev_mode_with_warnings_as_errors(tmp_path):
                       ["predict", "--model", model, "--data", data],
                       ["eval", "--model", model, "--data", data], ["spectrum", "--model", model]]
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", _CHAIN_CHILD,
-                           json.dumps(chain)], capture_output=True, text=True, env=subprocess_env())
+                           json.dumps(chain)], capture_output=True, text=True, env=subprocess_env(),
+                          timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
@@ -713,7 +763,8 @@ def test_every_workflow_run_block_parses_and_names_paths_that_exist():
     assert len(blocks) == 5
     for block in blocks:
         script = re.sub(r"\$\{\{[^}]*\}\}", "x", block)  # the runner fills these in
-        proc = subprocess.run(["bash", "-n"], input=script, capture_output=True, text=True)
+        proc = subprocess.run(["bash", "-n"], input=script, capture_output=True, text=True,
+                              timeout=120)
         assert (proc.returncode, proc.stderr) == (0, ""), block
         paths = re.findall(r"(?<![\w$./-])(?:[\w.-]+/)+[\w.-]+|(?<=PYTHONPATH=)[\w.-]+", script)
         assert all((root / path).exists() for path in paths), (paths, block)
@@ -743,7 +794,7 @@ def test_console_script_installed(tmp_path):
         proc = subprocess.run(
             [*command, "gen-example2", "--n", "2", "--a", "1,0", "--sigma2", "1",
              "--per-class", "5", "--seed", "0", "--out", str(out)],
-            capture_output=True, text=True, env=subprocess_env(),
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "wrote 10 rows"

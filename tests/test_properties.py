@@ -1,5 +1,5 @@
-"""Hypothesis properties of the model file, of the CSV float writer and
-of decisions at any scale.
+"""Hypothesis properties of the model file, of the CSV float writer, of
+decisions at any scale and of fits at a power-of-two scale.
 
 Every example is drawn from a fixed seed (`derandomize=True`), so the suite
 stays deterministic. The fits run over n in 1..8, all four modes, random
@@ -23,6 +23,7 @@ from energydisc import (  # noqa: E402
     NormalizationMode,
     analytic_moments,
     decide_batch,
+    estimate_moments,
     fit,
     format_model,
     parse_model,
@@ -138,3 +139,30 @@ def test_decisions_do_not_depend_on_a_power_of_two_scale(clf, k, data):
     except EnergydiscError:
         return  # a typed error, such as unit mode's zero rows
     np.testing.assert_array_equal(got, want)
+
+
+# 2^k with |k| <= 150 keeps the moments within 2^+-300, where LAPACK's eigh
+# runs unscaled and so is exactly 4^k-equivariant (not so at 2^+-500); unit
+# mode normalizes the rows, but keeps an absolute zero-norm threshold
+_SCALED_MODES = [m for m in NormalizationMode if m is not NormalizationMode.UNIT]
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.sampled_from(_SCALED_MODES), st.integers(-150, 150), st.data())
+def test_fit_and_decisions_do_not_depend_on_a_power_of_two_scale(n, mode, k, data):
+    rows = [data.draw(arrays(np.float64, (data.draw(st.integers(2, 12)), n),
+                             elements=_ROW_ENTRIES)) for _ in range(2)]
+    x = data.draw(arrays(np.float64, (4, n), elements=_ROW_ENTRIES))
+
+    def fitted_at(scale):
+        return fit(*(ClassSpec(p, estimate_moments(np.ldexp(r, scale)))
+                     for p, r in zip((0.4, 0.6), rows)), mode)
+
+    try:
+        want = fitted_at(0)
+    except EnergydiscError:
+        return  # a typed error, such as trace mode's all-zero class
+    got = fitted_at(k)
+    assert got.proj1.rank == want.proj1.rank
+    np.testing.assert_array_equal(got.proj1.basis, want.proj1.basis)
+    np.testing.assert_array_equal(decide_batch(got, np.ldexp(x, k)), decide_batch(want, x))

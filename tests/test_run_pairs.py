@@ -63,5 +63,5 @@ def test_faults_are_counted_per_attempted_op_and_summarized_as_a_lower_is_better
 
 def test_child_faults_grow_by_a_finished_childs_faults():
     before = run_pairs.child_faults()
-    subprocess.run([sys.executable, "-c", "bytearray(1 << 22)"], check=True)
+    subprocess.run([sys.executable, "-c", "bytearray(1 << 22)"], check=True, timeout=120)
     assert run_pairs.child_faults() > before

@@ -60,19 +60,21 @@ def reference_functionals(clf, data, priors):
     g1, g2 = discriminants(clf, data.features)
     hits = _labels(g1, g2) == data.labels
     scored = np.column_stack((g1, g2, hits))
-    quality = indicator = region = variance = 0.0
+    quality = indicator = region = variance = cross = 0.0
     for label, prior in zip((1, 2), priors):
         if prior == 0.0:
             continue
         g1, g2, won = scored[data.labels == label].T
-        g = (g1, g2)[label - 1]
+        g, other = (g1, g2)[label - 1], (g1, g2)[2 - label]
         kept = g * won
         quality += prior * float(g.mean())
+        cross += prior * float(other.mean())
         indicator += prior * float(won.mean())
         region += prior * float(kept.mean())
         if kept.size > 1:
             variance += prior**2 * float(kept.var(ddof=1)) / kept.size
-    return quality, indicator, region, float(np.sqrt(variance)), float(np.mean(hits))
+    return (quality, indicator, region, float(np.sqrt(variance)), float(np.mean(hits)),
+            cross)
 
 
 def _blocks(x, size):
@@ -207,7 +209,7 @@ def test_sample_functionals_are_read_by_name():
     data, specs = _scored_data(200, 0.0, 8)
     clf = fit(*specs)
     got = _sample_functionals(clf, data, (clf.prior1, clf.prior2))
-    assert got._fields == ("quality", "indicator", "region", "stderr", "accuracy")
+    assert got._fields == ("quality", "indicator", "region", "stderr", "accuracy", "cross")
     assert got.quality == empirical_quality(clf, data)
     assert got.indicator == empirical_quality(clf, data, indicator=True)
     assert (got.region, got.stderr) == region_energy(clf, data, return_stderr=True)
@@ -527,7 +529,8 @@ def test_a_piped_data_file_gives_the_error_of_a_regular_file(tmp_path, models, t
                  ["eval", "--model", str(models[2, mode])]):
         assert _run([*argv, "--data", str(data)]) == (2, "", error), argv
         proc = subprocess.run([sys.executable, "-m", "energydisc", *argv, "--data", "/dev/stdin"],
-                              input=text, capture_output=True, text=True, env=subprocess_env())
+                              input=text, capture_output=True, text=True, env=subprocess_env(),
+                              timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error), argv
         assert not (tmp_path / "model.txt").exists()
 
@@ -572,7 +575,7 @@ def test_peak_memory_does_not_grow_with_the_rows(tmp_path):
     feature_kib = 2 * sizes[1] * n * 8 / 1024
     for small, large in zip(*map(commands, sizes)):
         proc = subprocess.run([sys.executable, "-c", _MEMORY_CHILD, *small, *large],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         growth = int(proc.stdout)
         # predict keeps one byte per row, 20 KiB here
