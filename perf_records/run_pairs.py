@@ -11,8 +11,10 @@ is removed on exit. For each seed, both sides run
 
 in their own checkout, the parent first in odd pairs and the change
 first in even ones; T is the `run_seconds` of BENCHMARK.json. Each
-side's BENCH_*.json is copied, unedited, to
-perf_records/<change>/parent-<sha>/ or perf_records/<change>/change/.
+side's BENCH_*.json is filed as BENCH_*.json.gz (gzip with mtime 0, so
+the same record always gives the same bytes), which decompresses to the
+bytes run.py wrote, in perf_records/<change>/parent-<sha>/ or
+perf_records/<change>/change/.
 At the end, for each end-to-end metric of BENCHMARK.json, the script
 prints each side's median and quartiles and the number of pairs the
 change won (ties count for neither side). Each run's minor page faults
@@ -25,6 +27,7 @@ with the host's core speed. Standard library only.
 from __future__ import annotations
 
 import argparse
+import gzip
 import json
 import resource
 import shutil
@@ -63,6 +66,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Path:
                     "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"],
                    cwd=checkout, check=True, stdout=subprocess.DEVNULL)
     return checkout / ".perfbench_out" / f"BENCH_{workload}_seed{seed}_trace0.json"
+
+
+def file_record(bench_file: Path, directory: Path) -> Path:
+    """File the BENCH_*.json `bench_file` in `directory` as BENCH_*.json.gz,
+    gzipped with mtime 0 and no file name in its header; return its path."""
+    filed = directory / f"{bench_file.name}.gz"
+    filed.write_bytes(gzip.compress(bench_file.read_bytes(), mtime=0))
+    return filed
 
 
 def child_faults() -> int:
@@ -129,7 +140,7 @@ def main(argv=None) -> int:
                 bench_file = run_once(checkouts[side], args.workload, seed, seconds)
                 records[side] = json.loads(bench_file.read_text())
                 minflt[side] = faults_per_op(child_faults() - before, records[side])
-                shutil.copy2(bench_file, sides[side] / bench_file.name)
+                file_record(bench_file, sides[side])
                 records[side]["end_to_end"][FAULTS["name"]] = [minflt[side]]
             pairs.append((records["parent"], records["change"]))
             ops = {side: records[side]["end_to_end"]["op_ms_p50"][0] for side in order}

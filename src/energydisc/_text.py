@@ -1,13 +1,14 @@
 """Float text: the one writer of every float the package writes, and the
 readers of float lists and UTF-8 input.
 
-The one rule: `_format_floats` writes each float as ``%.17g`` does, 17
+The one rule: each float is written as ``%.17g`` writes it, 17
 significant digits, so values survive a text round trip bit for bit and
-a saved model or data file keeps the paper's identities exactly. A call
-of fewer than `_KERNEL_VALUES` values it joins with ``%``; a longer one,
-and every block of `save_csv`, goes block by block to the numpy kernel,
-which writes the same bytes faster but sends a block more than half of
-which lies outside [1e-4, 1e17) to ``%`` whole, from its own range mask.
+a saved model or data file keeps the paper's identities exactly.
+`_format_floats`, the writer of model fields and CLI scalars, writes by
+``%`` alone, whatever the count. `save_csv` hands each block of a CSV file
+to a numpy kernel, `_kernel_text`, which writes the same bytes faster but
+sends a block more than half of which lies outside [1e-4, 1e17) to ``%``
+whole, from its own range mask.
 The kernel writes a value with 1e-4 <= |x| < 1e17 from its 17 significant
 digits D: with k = floor(log10|x|), Dekker's error-free product gives
 |x| * 10^(16-k) = p + e exactly (10^(16-k) <= 1e20 is an exact double),
@@ -18,10 +19,10 @@ digit k and trailing zeros dropped, as the kernel does. Any other value
 off) it writes by ``%`` too.
 
 The kernel writes a block into the buffers of a `_Workspace` that its
-caller makes once for all the blocks of a call or file, so a block
-allocates and frees nothing: temporaries freed at the top of the heap
-below the mmap threshold would be trimmed and faulted back in for the
-next block. No workspace lives at module level or outlives its call.
+caller makes once for all the blocks of a file, so a block allocates and
+frees nothing: temporaries freed at the top of the heap below the mmap
+threshold would be trimmed and faulted back in for the next block. No
+workspace lives at module level or outlives its call.
 """
 
 from __future__ import annotations
@@ -34,19 +35,8 @@ from .errors import ParseError
 
 _FLOAT_FMT = "%.17g"
 
-# The crossover of `_format_floats`, per call, measured on a 2-core x86-64
-# VM: `%` writes 1 value in 1.3 us and 1024 in 0.7 ms, the kernel 85-130 us
-# and 0.2-0.3 ms; large model bases fall above it, short vectors below.
-# The kernel, which takes every CSV block, sends one more than half of whose
-# values lie outside [1e-4, 1e17) to `%` whole, as it pays its own arithmetic
-# for each of them and then `%`. On one 64x65 block (best of 15, process
-# time, the same VM), the kernel took 1.0 ms against 2.3 ms for `%` with
-# every value in range, 2.6 ms against 2.6 ms with 40% out of range, 3.0 ms
-# against 2.8 ms with half out, and 4.8 ms against 2.9 ms with all out.
-_KERNEL_VALUES = 230
-
-# Floats are written in blocks of about this many values, each through one
-# workspace its caller made for all of them. The temporaries of a block
+# CSV floats are written in blocks of about this many values, each through
+# one workspace `save_csv` made for all of them. The temporaries of a block
 # (about 1 MB) lie at the top of the heap and below a 256 KiB mmap
 # threshold, so if a block freed them, glibc would trim them (its trim
 # threshold is then 128 KiB) and the next block would fault them back in,
@@ -74,25 +64,12 @@ def _utf8_text(data: bytes | memoryview, first: int) -> str:
 
 def _format_floats(values) -> str:
     """The finite floats `values` as text, each as `_FLOAT_FMT % v` writes
-    it: a 2-d array as lines, each row's values joined by ',' and ended by
-    '\\n'; any other shape as its values in order, joined by ','. Written in
-    blocks of about _WRITE_FLOATS values through one call-local workspace."""
+    it, by `%` alone: a 2-d array as lines, each row's values joined by ','
+    and ended by '\\n'; any other shape as its values in order, joined by ','."""
     values = np.asarray(values, dtype=float)
-    rows = values if values.ndim == 2 else values.reshape(1, -1)
-    if rows.size < _KERNEL_VALUES:
-        text = _joined_rows(rows)
-        return text if values.ndim == 2 else text[:-1]
     if values.ndim == 2:
-        step = max(1, _WRITE_FLOATS // rows.shape[1])
-        blocks = [rows[start:start + step] for start in range(0, len(rows), step)]
-    else:
-        # one-row blocks, whose lines are joined by ',' below
-        blocks = [rows[:, start:start + _WRITE_FLOATS]
-                  for start in range(0, rows.size, _WRITE_FLOATS)]
-    ws = _Workspace(blocks[0].size)  # the first block is the largest
-    texts = [_kernel_text(block, ws) for block in blocks]
-    text = b"".join(texts) if values.ndim == 2 else b",".join(text[:-1] for text in texts)
-    return text.decode("ascii")
+        return _joined_rows(values)
+    return _join(values.reshape(-1).tolist(), ",")
 
 
 def _join(values: list, sep: str) -> str:

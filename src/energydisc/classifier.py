@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -483,7 +484,7 @@ def region_energy(
 
 def snr(a, sigma2: float, n: int | None = None) -> float:
     """Signal-to-noise ratio ||a||^2 / (n * sigma^2) of a signal in white noise;
-    InvalidParameter if the ratio is beyond the float range."""
+    InvalidParameter if the ratio, or `n`, is beyond the float range."""
     a = _vectors(a)
     _check_signal_in_noise(a, sigma2)
     if a.ndim != 1:
@@ -491,6 +492,8 @@ def snr(a, sigma2: float, n: int | None = None) -> float:
     n = a.shape[0] if n is None else _check_count(n, "n")
     if n < 1:
         raise InvalidParameter("dimension must be at least 1")
+    if n > sys.float_info.max:  # an int compares exactly, where n * m would raise OverflowError
+        raise InvalidParameter("dimension must lie within the float range")
     # a and sigma^2 scaled by powers of two, which is exact, so that a ratio
     # in the float range never passes through an overflow of ||a||^2 or n sigma^2
     a, e = _pow2_scaled(a, np.abs(a).max(initial=0.0))

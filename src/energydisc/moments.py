@@ -83,10 +83,14 @@ def _no_overflow(*moments: np.ndarray) -> None:
 
 
 def _split(mean: np.ndarray, covariance: np.ndarray, count: int) -> MomentSummary:
-    """The moments with correlation K = R + m m^T, the rank-one split."""
+    """The moments with correlation K = R + m m^T, the rank-one split;
+    InvalidParameter if K overflows, or holds no normal float while the
+    mean or R is nonzero, as for rows whose entries all lie below about 1e-154."""
     with np.errstate(over="ignore"):
         correlation = covariance + np.outer(mean, mean)
     _no_overflow(correlation)
+    if np.abs(correlation).max() < np.finfo(float).tiny and (mean.any() or covariance.any()):
+        raise InvalidParameter("class moments underflow the float range; rescale the rows")
     return MomentSummary(mean, sym_matrix(correlation), covariance, count)
 
 

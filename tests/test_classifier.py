@@ -625,6 +625,8 @@ def test_snr_values_and_errors():
     # n=2.5 gave 0.4, n=inf 0.0 and n="3" a TypeError
     *(pytest.param([1.0], n, InvalidParameter, "n must be a non-negative integer",
                    id=repr(n)) for n in (-1, np.nan, float("-inf"), 2.5, float("inf"), "3")),
+    # n * sigma^2 once raised an untyped OverflowError
+    pytest.param([1.0], 10**400, InvalidParameter, "within the float range", id="10**400"),
     pytest.param(5.0, None, DimensionMismatch, "1-d vector", id="0-d-signal"),
     pytest.param([[1.0, 2.0]], None, DimensionMismatch, "1-d vector", id="2-d-signal"),
     pytest.param([[1.0], [1.0, 2.0]], None, DimensionMismatch, "one length", id="ragged-signal"),
@@ -766,10 +768,11 @@ def _sampled_fit(n, mode):
 
 
 @pytest.mark.parametrize("mode", list(NormalizationMode))
-@pytest.mark.parametrize("n", [1, 3, 64])
+@pytest.mark.parametrize("n", [1, 3, 64, 128])
 def test_format_model_matches_per_entry_format(n, mode):
     # a loaded model is scored on its bases and labels every row as the
-    # former scoring on its n-by-n projectors did
+    # former scoring on its n-by-n projectors did; at n=128 the stored
+    # basis holds thousands of floats
     clf, x = _sampled_fit(n, mode)
     text = format_model(clf)
     assert text == format_model_v2(clf)

@@ -571,6 +571,30 @@ def test_raw_fit_does_not_depend_on_the_data_scale(capsys, tmp_path, scale):
 
 
 @pytest.mark.parametrize("mode", ["raw", "trace", "unit", "centered"])
+def test_fit_and_eval_refuse_class_moments_that_underflow(capsys, tmp_path, mode):
+    # example 1's rows times 1e-165 give K = 0: raw mode once fit rank1=0
+    # and eval read accuracy 0.5 with no warning; unit mode refuses the
+    # first row as a zero row, by its absolute zero-norm threshold
+    data = tmp_path / "data.csv"
+    code, out, err = run_cli(capsys, "gen-example1", "--n", "4", "--m1", "3,0,0,0",
+                             "--m2", "0,3,0,0", "--per-class", "500", "--seed", "1",
+                             "--out", str(data))
+    assert code == 0, err
+    ordinary = fit_model(capsys, tmp_path, data, mode, name="ordinary.txt")
+    rows = load_csv(data)
+    datasets.save_csv(datasets.LabeledDataset(rows.labels, rows.features * 1e-165), data)
+    what = ("zero vector at line 2 of the data file cannot be unit-normalized" if mode == "unit"
+            else "class moments underflow the float range; rescale the rows")
+    model = tmp_path / "model.txt"
+    code, out, err = run_cli(capsys, "fit", "--data", str(data), "--mode", mode,
+                             "--out", str(model))
+    assert (code, out, err) == (2, "", f"error: {what}\n")
+    assert not model.exists()
+    code, out, err = run_cli(capsys, "eval", "--model", str(ordinary), "--data", str(data))
+    assert (code, out, err) == (2, "", f"error: {what}\n")
+
+
+@pytest.mark.parametrize("mode", ["raw", "trace", "unit", "centered"])
 def test_fit_refuses_a_correlation_trace_beyond_the_float_range(capsys, tmp_path, mode):
     # class 1's moments are finite, but its correlation trace, about
     # 2.3e308, is not; unit mode scales each row to the sphere first

@@ -349,24 +349,35 @@ def test_csv_header_layout(tmp_path):
 
 
 def _float_mismatches(values, *, one_by_one: bool = False) -> list:
-    """(value, written, expected) for each value that `_text._format_floats`,
-    its kernel taking every input from one value on, or the kernel itself
-    writes otherwise than `_FLOAT_FMT % v`: the values as one column, by the
-    kernel and by `_format_floats`, as one 1-d vector and, if `one_by_one`,
-    each on its own."""
-    values = np.asarray(values, dtype=float).ravel().tolist()
-    want = [_text._FLOAT_FMT % v for v in values]
-    column = np.array(values)[:, None]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_text, "_KERNEL_VALUES", 1)
-        shapes = [_text._kernel_text(column, _text._Workspace(column.size)).decode().splitlines(),
-                  _text._format_floats(column).splitlines(),
-                  _text._format_floats(values).split(",")]
-        if one_by_one:
-            shapes.append([_text._format_floats(v) for v in values])
+    """(value, written, expected) for each value that the kernel or
+    `_text._format_floats` writes otherwise than `_FLOAT_FMT % v`. The
+    kernel writes the values in blocks of `_WRITE_FLOATS` through one
+    workspace: as a column, as one row a block, and each paired with 1, so
+    that at least half of every block lies in [1e-4, 1e17) and the kernel's
+    own arithmetic takes each value. `_format_floats` writes them as one
+    column, as one 1-d vector and, if `one_by_one`, each on its own."""
+    values = np.asarray(values, dtype=float).ravel()
+    want = [_text._FLOAT_FMT % v for v in values.tolist()]
+    step = _text._WRITE_FLOATS
+    ws = _text._Workspace(2 * step)
+    blocks = [values[start:start + step] for start in range(0, values.size, step)]
+
+    def kernel(shape) -> list:
+        return [_text._kernel_text(shape(block), ws).decode() for block in blocks]
+
+    shapes = [
+        "".join(kernel(lambda block: block[:, None])).splitlines(),
+        ",".join(text[:-1] for text in kernel(lambda block: block[None, :])).split(","),
+        [line[:line.index(",")] for text in kernel(lambda block: np.stack(
+            [block, np.ones_like(block)], axis=1)) for line in text.splitlines()],
+        _text._format_floats(values[:, None]).splitlines(),
+        _text._format_floats(values).split(","),
+    ]
+    if one_by_one:
+        shapes.append([_text._format_floats(v) for v in values.tolist()])
     assert all(len(written) == len(values) for written in shapes)
     return [(v, got, expected) for written in shapes
-            for v, got, expected in zip(values, written, want) if got != expected]
+            for v, got, expected in zip(values.tolist(), written, want) if got != expected]
 
 
 def test_csv_floats_at_the_edges_match_float_fmt():
@@ -397,28 +408,29 @@ def test_csv_floats_of_random_magnitudes_match_float_fmt():
     assert _float_mismatches(values) == []
 
 
-def test_format_floats_runs_the_kernel_from_the_crossover_on(monkeypatch):
-    sizes = []
+def test_format_floats_never_runs_the_kernel(monkeypatch):
     kernel = _text._kernel_text
 
-    def counted(rows, ws):
-        sizes.append(rows.size)
-        return kernel(rows, ws)
+    def refused(rows, ws):
+        raise AssertionError("the kernel writes CSV blocks only")
 
-    monkeypatch.setattr(_text, "_kernel_text", counted)
-    at = _text._KERNEL_VALUES
-    for count in (at - 1, at):
+    monkeypatch.setattr(_text, "_kernel_text", refused)
+    # 229 and 230 values lie either side of where the kernel once took over;
+    # the kernel writes the same bytes
+    for count in (229, 230, 10_000):
         values = np.arange(count) / 7
         want = [_text._FLOAT_FMT % v for v in values.tolist()]
+        ws = _text._Workspace(count)
         assert _text._format_floats(values) == ",".join(want)
+        assert kernel(values[None, :], ws).decode() == ",".join(want) + "\n"
         if count % 2 == 0:  # as rows of two
-            lines = [",".join(pair) + "\n" for pair in zip(want[::2], want[1::2])]
-            assert _text._format_floats(values.reshape(-1, 2)) == "".join(lines)
-    assert sizes == [at, at]
+            lines = "".join(",".join(pair) + "\n" for pair in zip(want[::2], want[1::2]))
+            assert _text._format_floats(values.reshape(-1, 2)) == lines
+            assert kernel(values.reshape(-1, 2), ws).decode() == lines
     assert _text._format_floats([]) == _text._format_floats(np.zeros((0, 3))) == ""
 
 
-def test_format_floats_writes_a_block_mostly_out_of_range_by_percent(monkeypatch):
+def test_kernel_writes_a_block_mostly_out_of_range_by_percent(monkeypatch):
     calls = []
     joined = _text._joined_rows
 
@@ -428,13 +440,14 @@ def test_format_floats_writes_a_block_mostly_out_of_range_by_percent(monkeypatch
 
     monkeypatch.setattr(_text, "_joined_rows", counted)
     values = np.full((10, 30), 0.5)
+    ws = _text._Workspace(values.size)
     # half of the values out of range go to the kernel, one more to `%`
     for out, used in ((150, []), (151, [300])):
         values.flat[:out] = 1e20
         calls.clear()
         want = "".join(",".join(_text._FLOAT_FMT % v for v in row) + "\n"
                        for row in values.tolist())
-        assert _text._format_floats(values) == want
+        assert _text._kernel_text(values, ws).decode() == want
         assert calls == used
 
 

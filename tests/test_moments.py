@@ -9,6 +9,7 @@ from energydisc import (
     analytic_moments,
     estimate_moments,
     expected_quadratic,
+    gen_example1,
 )
 from energydisc.moments import _check_psd, _merge, _MomentSum
 from energydisc.spectral import sym_eig
@@ -205,6 +206,33 @@ def test_moment_sum_names_an_overflow_in_the_merge():
 def test_analytic_moments_name_an_overflow_in_the_split():
     with pytest.raises(InvalidParameter, match="^class moments overflow"):
         analytic_moments([1e200, 0.0], np.eye(2))
+
+
+def _example1_rows(scale: float) -> np.ndarray:
+    """Class 1 of example 1 (n=4, means 3e_1 and 3e_2), every entry times `scale`."""
+    eye = np.eye(4)
+    data = gen_example1(4, 3 * eye[0], 3 * eye[1], eye, 500, 1)
+    return data.class_features(1) * scale
+
+
+# at 1e-165 K is 0, and fit once kept rank1=0 with no warning; at 1e-160
+# K's largest entry is the subnormal 9.87e-320, which keeps about 15 bits,
+# and fit happened to keep the unscaled rank1=2
+@pytest.mark.parametrize("scale", [1e-165, 1e-160])
+def test_estimate_moments_names_an_underflow(scale):
+    with pytest.raises(InvalidParameter, match="^class moments underflow the float range"):
+        estimate_moments(_example1_rows(scale))
+
+
+def test_moments_that_keep_a_normal_float_or_are_zero_do_not_underflow():
+    summary = estimate_moments(_example1_rows(1e-150))
+    assert np.abs(summary.correlation).max() >= np.finfo(float).tiny
+    assert not analytic_moments([0.0, 0.0], np.zeros((2, 2))).correlation.any()
+
+
+def test_analytic_moments_name_an_underflow_in_the_split():
+    with pytest.raises(InvalidParameter, match="^class moments underflow the float range"):
+        analytic_moments([1e-170, 0.0], np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

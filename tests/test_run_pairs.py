@@ -1,6 +1,9 @@
-"""The pure parts of perf_records/run_pairs.py: seed lists and the summaries."""
+"""The pure parts of perf_records/run_pairs.py: seed lists, the summaries and
+the filing of records."""
 
+import gzip
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -65,3 +68,19 @@ def test_child_faults_grow_by_a_finished_childs_faults():
     before = run_pairs.child_faults()
     subprocess.run([sys.executable, "-c", "bytearray(1 << 22)"], check=True, timeout=120)
     assert run_pairs.child_faults() > before
+
+
+def test_a_record_is_filed_gzipped_and_decompresses_to_the_bytes_run_wrote(tmp_path):
+    bench = tmp_path / "BENCH_fit_highdim_seed7_trace0.json"
+    bench.write_bytes(b'{"end_to_end": {"op_ms_p50": [30.5, "ms", 100]}}\n')
+    side = tmp_path / "change"
+    side.mkdir()
+    filed = run_pairs.file_record(bench, side)
+    assert filed == side / "BENCH_fit_highdim_seed7_trace0.json.gz"
+    assert gzip.decompress(filed.read_bytes()) == bench.read_bytes()
+    # no flags (so no file name) and mtime 0: filing the same record again,
+    # at another time, gives the same bytes
+    first = filed.read_bytes()
+    assert first[3:8] == bytes(5)
+    os.utime(bench, (1, 1))
+    assert run_pairs.file_record(bench, side).read_bytes() == first
